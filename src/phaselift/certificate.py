@@ -26,7 +26,13 @@ from .hermitian import (
     project_tangent,
     project_tangent_complement,
 )
-from .measurement import GAUSSIAN_MODELS, SensingEnsemble, _draw_gaussian
+from .measurement import (
+    GAUSSIAN_MODELS,
+    SensingEnsemble,
+    _draw_gaussian,
+    apply_adjoint,
+    apply_measurement,
+)
 
 #: (tangent-distance, complement-operator-norm) thresholds per field.
 THRESHOLDS = {REAL: (1.0 / 3.0, 0.5), COMPLEX: (0.2, 0.5)}
@@ -96,14 +102,12 @@ def check_mean_gram(field: str, n: int, num_samples: int, seed: int) -> float:
         raise ValueError("need at least 1000 samples")
     op = MeanGramOperator(field, n)
     rng = substream(seed, 3)
-    Z = _draw_gaussian(rng, num_samples, n, field)
+    ens = SensingEnsemble(_draw_gaussian(rng, num_samples, n, field), f"{field}-gaussian", seed)
     worst = 0.0
     for _ in range(5):
         X = _draw_gaussian(rng, n, n, field)
         X = (X + X.conj().T) / 2
-        w = np.sum((Z.conj() @ X) * Z, axis=1).real
-        est = (Z * w[:, None]).T @ Z.conj() / num_samples
-        est = (est + est.conj().T) / 2
+        est = apply_adjoint(ens, apply_measurement(ens, X)) / num_samples
         ref = op.apply(X)
         denom = float(np.linalg.norm(ref))
         worst = max(worst, float(np.linalg.norm(est - ref)) / denom if denom else 0.0)
@@ -134,10 +138,9 @@ def build_certificate(
             f"2*beta*log(n) = {2 * beta * np.log(n):.3g} < 3; "
             "truncation bounds are outside their intended regime"
         )
-    M = MeanGramOperator(ens.field, n).inverse(np.outer(x, x.conj()))
-    Z = ens.vectors
-    w = np.sum((Z.conj() @ M) * Z, axis=1).real
+    w = apply_measurement(ens, MeanGramOperator(ens.field, n).inverse(np.outer(x, x.conj())))
     if truncate:
+        Z = ens.vectors
         keep = (np.abs(Z @ x.conj()) <= np.sqrt(2.0 * beta * np.log(n))) & (
             np.linalg.norm(Z, axis=1) <= np.sqrt(3.0 * n)
         )
@@ -145,8 +148,7 @@ def build_certificate(
         dropped = 1.0 - float(keep.mean())
     else:
         dropped = 0.0
-    Y = (Z * w[:, None]).T @ Z.conj() / ens.m
-    return (Y + Y.conj().T) / 2, dropped
+    return apply_adjoint(ens, w) / ens.m, dropped
 
 
 def verify_certificate(

@@ -1,9 +1,13 @@
-"""Batch experiment runners emitting deterministic CSV.
+"""Batch experiments emitting deterministic CSV, all through one grid driver.
 
-Each experiment is a pure function of (config, seed): trials draw from
-per-trial substreams, run in a worker pool, and are written in grid
-order, so re-runs produce byte-identical CSVs.  Wall-clock timings go
-to a sidecar file (<out>.timing.csv) to keep the main CSV reproducible.
+Every experiment is a grid of points, k seeded trials per point and at
+most one summary row per point; it declares only its grid, its trial
+function and its summary function, and `run_grid` does the rest.  Each
+trial draws from its own substream keyed by (seed, grid index, trial),
+trials run in a worker pool, and rows are written in grid order, so
+re-runs produce byte-identical CSVs.  A summary row covers only the
+trial rows directly above it.  Wall-clock timings go to a sidecar file
+(<out>.timing.csv) to keep the main CSV reproducible.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._rng import substream
+from ._rng import child_seed, substream
 from .analysis import l1_isometry_check, rank2_l1_mc, rank2_l1_mean_complex, rank2_l1_mean_real
 from .certificate import build_certificate, verify_certificate
 from .hermitian import COMPLEX, REAL
@@ -28,15 +33,6 @@ from .recovery import recover, rel_mse
 from .solver import SolverOptions, solve_constrained
 
 SCHEMA_VERSION = "phaselift-csv-1"
-
-EXPERIMENTS = (
-    "snr-sweep",
-    "oversampling-sweep",
-    "phase-transition",
-    "certificate-study",
-    "rip1-study",
-    "f-curves",
-)
 
 #: Success threshold for phase-transition runs (relative MSE).
 PHASE_TRANSITION_SUCCESS = 1e-5
@@ -94,17 +90,8 @@ class ExperimentConfig:
         return cls(**raw)
 
 
-def _child_seed(seed: int, *path: int) -> int:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
-def _num_workers() -> int:
-    return max(1, int(os.environ.get("PHASELIFT_THREADS", "1")))
-
-
 def _map_trials(fn, args_list):
-    workers = _num_workers()
+    workers = max(1, int(os.environ.get("PHASELIFT_THREADS", "1")))
     if workers == 1:
         return [fn(a) for a in args_list]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -139,335 +126,220 @@ def _write_timing(path: str, timings: list[dict]) -> None:
         writer.writerows(timings)
 
 
-def _gaussian_signal(n: int, field: str, rng: np.random.Generator) -> np.ndarray:
-    if field == REAL:
-        return rng.standard_normal(n)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+# --- the grid driver ------------------------------------------------------------
 
 
-def _recovery_trial(cfg: ExperimentConfig, m: int, snr_db: float, gi: int, trial: int) -> dict:
+def _mean(rows: list[dict], key: str) -> float:
+    return float(np.mean([r[key] for r in rows]))
+
+
+def _median(rows: list[dict], key: str) -> float:
+    return float(np.median([r[key] for r in rows]))
+
+
+def run_grid(cfg: ExperimentConfig, points: list[dict], trial, summary=None, trials=None):
+    """Run seeded trials at every grid point; return (rows, timing rows).
+
+    Each point is a dict of grid coordinates, e.g. {"m": 48, "snr": 20.0};
+    its "k=v" pairs form the timing key.  `trial(cfg, point, gi, t)`
+    returns the measured columns of trial t at point index gi, drawing
+    its randomness from `child_seed(cfg.seed, gi, t, stream)`.  The rows
+    list each point's `trials` (default cfg.trials) trial rows, then,
+    when `summary(block)` is given, one summary row computed from that
+    block alone.  Every row also carries the experiment, row type, n,
+    field and the point's coordinates.
+    """
+    k = cfg.trials if trials is None else trials
+
+    def timed(args):
+        t0 = time.perf_counter()
+        row = trial(cfg, *args)
+        return row, (time.perf_counter() - t0) * 1e3
+
+    results = _map_trials(timed, [(p, gi, t) for gi, p in enumerate(points) for t in range(k)])
+    rows, timings = [], []
+    for gi, point in enumerate(points):
+        base = {"experiment": cfg.experiment, "n": cfg.n, "field": cfg.field, **point}
+        key = ",".join(f"{name}={value}" for name, value in point.items())
+        block = []
+        for t, (measured, ms) in enumerate(results[gi * k : (gi + 1) * k]):
+            block.append({**base, "row_type": "trial", "trial": t, **measured})
+            timings.append(
+                {"experiment": cfg.experiment, "key": key, "trial": t, "wall_time_ms": ms}
+            )
+        rows += block
+        if summary is not None:
+            rows.append({**base, "row_type": "summary", **summary(block)})
+    return rows, timings
+
+
+# --- recovery experiments: snr-sweep, oversampling-sweep, phase-transition ------
+
+_RECOVERY_FIELDS = (
+    "experiment row_type snr_db n m trial seed noise field rel_mse rel_rms rel_mse_debiased "
+    "rel_rms_debiased matrix_err_fro eps residual lambda iterations converged"
+).split()
+_TRANSITION_FIELDS = _RECOVERY_FIELDS + ["success", "success_rate"]
+
+
+def _snr_grid(cfg: ExperimentConfig) -> list[dict]:
+    m = cfg.m[0] if cfg.m else 6 * cfg.n
+    return [{"m": m, "snr": float(s)} for s in cfg.snr_db or [5.0, 25.0, 50.0, 75.0, 100.0]]
+
+
+def _oversampling_grid(cfg: ExperimentConfig) -> list[dict]:
+    snr = float(cfg.snr_db[0]) if cfg.snr_db else 15.0
+    return [{"m": int(r * cfg.n), "snr": snr} for r in cfg.m_over_n or [5, 6, 8, 10, 14, 18, 22]]
+
+
+def _transition_grid(cfg: ExperimentConfig) -> list[dict]:
+    return [{"m": int(r * cfg.n), "snr": float("inf")} for r in cfg.m_over_n or [1, 2, 3, 4, 5, 6]]
+
+
+def _recovery_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     """One end-to-end trial: signal, ensemble, noise, solve, extract."""
-    t0 = time.perf_counter()
-    sig_seed = _child_seed(cfg.seed, gi, trial, 0)
-    ens_seed = _child_seed(cfg.seed, gi, trial, 1)
-    noise_seed = _child_seed(cfg.seed, gi, trial, 2)
-    x = _gaussian_signal(cfg.n, cfg.field, substream(sig_seed, 6))
-    ens = sample_ensemble(cfg.n, m, f"{cfg.field}-unit-sphere", ens_seed)
-    b_clean = intensities(ens, x)
+    snr_db = point["snr"]
+    sig_seed, ens_seed, noise_seed = (child_seed(cfg.seed, gi, t, s) for s in range(3))
+    rng = substream(sig_seed, 6)
+    x = rng.standard_normal(cfg.n)
+    if cfg.field != REAL:
+        x = x + 1j * rng.standard_normal(cfg.n)
+    ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-unit-sphere", ens_seed)
     noise = cfg.noise if np.isfinite(snr_db) else "none"
-    data = add_noise(b_clean, noise, snr_db, noise_seed)
-    opts = SolverOptions(max_iters=cfg.max_iters)
-    rep = solve_constrained(ens, data, opts)
+    data = add_noise(intensities(ens, x), noise, snr_db, noise_seed)
+    rep = solve_constrained(ens, data, SolverOptions(max_iters=cfg.max_iters))
     res = recover(rep.X_hat, x_true=x)
     err_deb = rel_mse(x, res.x_hat_debiased)
-    xxs = np.outer(x, x.conj())
-    matrix_err = float(np.linalg.norm(rep.X_hat - xxs))
     return {
-        "row_type": "trial",
         "snr_db": snr_db,
-        "n": cfg.n,
-        "m": m,
-        "trial": trial,
         "seed": sig_seed,
         "noise": noise,
-        "field": cfg.field,
         "rel_mse": res.rel_mse,
         "rel_rms": res.rel_rms,
         "rel_mse_debiased": err_deb,
         "rel_rms_debiased": float(np.sqrt(max(err_deb, 0.0))),
-        "matrix_err_fro": matrix_err,
+        "matrix_err_fro": float(np.linalg.norm(rep.X_hat - np.outer(x, x.conj()))),
         "eps": data.eps,
         "residual": rep.residual,
         "lambda": rep.lambda_used,
         "iterations": rep.iterations,
         "converged": rep.converged,
-        "wall_time_ms": (time.perf_counter() - t0) * 1e3,
+        "success": res.rel_mse <= PHASE_TRANSITION_SUCCESS,  # a phase-transition column
     }
 
 
-_RECOVERY_FIELDS = [
-    "experiment",
-    "row_type",
-    "snr_db",
-    "n",
-    "m",
-    "trial",
-    "seed",
-    "noise",
-    "field",
-    "rel_mse",
-    "rel_rms",
-    "rel_mse_debiased",
-    "rel_rms_debiased",
-    "matrix_err_fro",
-    "eps",
-    "residual",
-    "lambda",
-    "iterations",
-    "converged",
-]
+def _recovery_summary(block: list[dict]) -> dict:
+    # a block's trials share one SNR, hence one effective noise model
+    row = {"snr_db": block[0]["snr_db"], "noise": block[0]["noise"]}
+    for key in ("rel_mse", "rel_rms", "rel_mse_debiased", "rel_rms_debiased"):
+        row[key] = _mean(block, key)
+    row["success_rate"] = _mean(block, "success")
+    return row
 
 
-def _mean(rows, key):
-    return float(np.mean([r[key] for r in rows]))
+# --- theory experiments: certificate-study, rip1-study, f-curves ----------------
+
+_STUDY_FIELDS = ["experiment", "row_type", "n", "m", "trial", "seed", "field"]
+_CERTIFICATE_FIELDS = _STUDY_FIELDS + (
+    "beta dist_tangent opnorm_complement truncated_fraction pass pass_rate".split()
+)
+_RIP1_FIELDS = _STUDY_FIELDS + ["delta_observed", "rank2_min_ratio"]
+_F_CURVE_FIELDS = ["experiment", "row_type", "field", "t", "f_closed", "mc_mean", "mc_stderr"]
 
 
-def _recovery_sweep(cfg: ExperimentConfig, grid: list[tuple[int, float]]) -> tuple[list, list]:
-    """Shared driver for SNR and oversampling sweeps; grid is (m, snr_db) points."""
-    args = [(m, snr, gi, t) for gi, (m, snr) in enumerate(grid) for t in range(cfg.trials)]
-    results = _map_trials(lambda a: _recovery_trial(cfg, *a), args)
-    rows, timings = [], []
-    for gi, (m, snr) in enumerate(grid):
-        block = results[gi * cfg.trials : (gi + 1) * cfg.trials]
-        for r in block:
-            r["experiment"] = cfg.experiment
-            timings.append(
-                {
-                    "experiment": cfg.experiment,
-                    "key": f"m={m},snr={snr}",
-                    "trial": r["trial"],
-                    "wall_time_ms": r.pop("wall_time_ms"),
-                }
-            )
-            rows.append(r)
-        rows.append(
-            {
-                "experiment": cfg.experiment,
-                "row_type": "summary",
-                "snr_db": snr,
-                "n": cfg.n,
-                "m": m,
-                "noise": cfg.noise,
-                "field": cfg.field,
-                "rel_mse": _mean(block, "rel_mse"),
-                "rel_rms": _mean(block, "rel_rms"),
-                "rel_mse_debiased": _mean(block, "rel_mse_debiased"),
-                "rel_rms_debiased": _mean(block, "rel_rms_debiased"),
-            }
-        )
-    return rows, timings
+def _certificate_grid(cfg: ExperimentConfig) -> list[dict]:
+    return [{"m": m} for m in cfg.m or [2 * cfg.n, 8 * cfg.n, 32 * cfg.n]]
 
 
-def run_snr_sweep(cfg: ExperimentConfig):
-    m = cfg.m[0] if cfg.m else 6 * cfg.n
-    snr_grid = cfg.snr_db if cfg.snr_db else [5.0, 25.0, 50.0, 75.0, 100.0]
-    rows, timings = _recovery_sweep(cfg, [(m, float(s)) for s in snr_grid])
-    return _RECOVERY_FIELDS, rows, timings
-
-
-def run_oversampling_sweep(cfg: ExperimentConfig):
-    rates = cfg.m_over_n if cfg.m_over_n else [5, 6, 8, 10, 14, 18, 22]
-    snr = float(cfg.snr_db[0]) if cfg.snr_db else 15.0
-    rows, timings = _recovery_sweep(cfg, [(int(r * cfg.n), snr) for r in rates])
-    return _RECOVERY_FIELDS, rows, timings
-
-
-def run_phase_transition(cfg: ExperimentConfig):
-    rates = cfg.m_over_n if cfg.m_over_n else [1, 2, 3, 4, 5, 6]
-    grid = [(int(r * cfg.n), float("inf")) for r in rates]
-    rows, timings = _recovery_sweep(cfg, grid)
-    fields = _RECOVERY_FIELDS + ["success", "success_rate"]
-    for row in rows:
-        if row["row_type"] == "trial":
-            row["success"] = row["rel_mse"] <= PHASE_TRANSITION_SUCCESS
-    for row in rows:
-        if row["row_type"] == "summary":
-            block = [
-                r
-                for r in rows
-                if r["row_type"] == "trial" and r["m"] == row["m"]
-            ]
-            row["success_rate"] = _mean(block, "success")
-    return fields, rows, timings
-
-
-def run_certificate_study(cfg: ExperimentConfig):
-    ms = cfg.m if cfg.m else [2 * cfg.n, 8 * cfg.n, 32 * cfg.n]
+def _certificate_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
+    seed = child_seed(cfg.seed, gi, t, 1)
+    ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-gaussian", seed)
     x = np.zeros(cfg.n, dtype=np.float64 if cfg.field == REAL else np.complex128)
     x[0] = 1.0
-
-    def one(args):
-        gi, m, trial = args
-        t0 = time.perf_counter()
-        ens_seed = _child_seed(cfg.seed, gi, trial, 1)
-        ens = sample_ensemble(cfg.n, m, f"{cfg.field}-gaussian", ens_seed)
-        Y, dropped = build_certificate(ens, x, beta=cfg.beta, truncate=True)
-        rep = verify_certificate(Y, x, truncated_fraction=dropped)
-        return {
-            "experiment": cfg.experiment,
-            "row_type": "trial",
-            "n": cfg.n,
-            "m": m,
-            "trial": trial,
-            "seed": ens_seed,
-            "field": cfg.field,
-            "beta": cfg.beta,
-            "dist_tangent": rep.dist_tangent,
-            "opnorm_complement": rep.opnorm_complement,
-            "truncated_fraction": rep.truncated_fraction,
-            "pass": rep.passed,
-            "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-        }
-
-    args = [(gi, m, t) for gi, m in enumerate(ms) for t in range(cfg.trials)]
-    results = _map_trials(one, args)
-    rows, timings = [], []
-    for gi, m in enumerate(ms):
-        block = results[gi * cfg.trials : (gi + 1) * cfg.trials]
-        for r in block:
-            timings.append(
-                {
-                    "experiment": cfg.experiment,
-                    "key": f"m={m}",
-                    "trial": r["trial"],
-                    "wall_time_ms": r.pop("wall_time_ms"),
-                }
-            )
-            rows.append(r)
-        rows.append(
-            {
-                "experiment": cfg.experiment,
-                "row_type": "summary",
-                "n": cfg.n,
-                "m": m,
-                "field": cfg.field,
-                "beta": cfg.beta,
-                "dist_tangent": float(np.median([r["dist_tangent"] for r in block])),
-                "opnorm_complement": float(np.median([r["opnorm_complement"] for r in block])),
-                "pass_rate": _mean(block, "pass"),
-            }
-        )
-    fields = [
-        "experiment",
-        "row_type",
-        "n",
-        "m",
-        "trial",
-        "seed",
-        "field",
-        "beta",
-        "dist_tangent",
-        "opnorm_complement",
-        "truncated_fraction",
-        "pass",
-        "pass_rate",
-    ]
-    return fields, rows, timings
+    Y, dropped = build_certificate(ens, x, beta=cfg.beta, truncate=True)
+    rep = verify_certificate(Y, x, truncated_fraction=dropped)
+    return {
+        "seed": seed,
+        "beta": cfg.beta,
+        "dist_tangent": rep.dist_tangent,
+        "opnorm_complement": rep.opnorm_complement,
+        "truncated_fraction": rep.truncated_fraction,
+        "pass": rep.passed,
+    }
 
 
-def run_rip1_study(cfg: ExperimentConfig):
-    ms = sorted(cfg.m if cfg.m else [4 * cfg.n, 16 * cfg.n, 64 * cfg.n])
-
-    def one(args):
-        gi, m, trial = args
-        t0 = time.perf_counter()
-        seed = _child_seed(cfg.seed, gi, trial, 1)
-        rep = l1_isometry_check(cfg.field, cfg.n, m, trials=100, seed=seed)
-        return {
-            "experiment": cfg.experiment,
-            "row_type": "trial",
-            "n": cfg.n,
-            "m": m,
-            "trial": trial,
-            "seed": seed,
-            "field": cfg.field,
-            "delta_observed": rep.delta_observed,
-            "rank2_min_ratio": rep.rank2_min_ratio,
-            "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-        }
-
-    args = [(gi, m, t) for gi, m in enumerate(ms) for t in range(cfg.trials)]
-    results = _map_trials(one, args)
-    rows, timings = [], []
-    for gi, m in enumerate(ms):
-        block = results[gi * cfg.trials : (gi + 1) * cfg.trials]
-        for r in block:
-            timings.append(
-                {
-                    "experiment": cfg.experiment,
-                    "key": f"m={m}",
-                    "trial": r["trial"],
-                    "wall_time_ms": r.pop("wall_time_ms"),
-                }
-            )
-            rows.append(r)
-        rows.append(
-            {
-                "experiment": cfg.experiment,
-                "row_type": "summary",
-                "n": cfg.n,
-                "m": m,
-                "field": cfg.field,
-                "delta_observed": float(np.median([r["delta_observed"] for r in block])),
-                "rank2_min_ratio": float(np.min([r["rank2_min_ratio"] for r in block])),
-            }
-        )
-    fields = [
-        "experiment",
-        "row_type",
-        "n",
-        "m",
-        "trial",
-        "seed",
-        "field",
-        "delta_observed",
-        "rank2_min_ratio",
-    ]
-    return fields, rows, timings
+def _certificate_summary(block: list[dict]) -> dict:
+    return {
+        "beta": block[0]["beta"],
+        "dist_tangent": _median(block, "dist_tangent"),
+        "opnorm_complement": _median(block, "opnorm_complement"),
+        "pass_rate": _mean(block, "pass"),
+    }
 
 
-def run_f_curves(cfg: ExperimentConfig):
+def _rip1_grid(cfg: ExperimentConfig) -> list[dict]:
+    return [{"m": m} for m in sorted(cfg.m or [4 * cfg.n, 16 * cfg.n, 64 * cfg.n])]
+
+
+def _rip1_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
+    seed = child_seed(cfg.seed, gi, t, 1)
+    rep = l1_isometry_check(cfg.field, cfg.n, point["m"], trials=100, seed=seed)
+    return {
+        "seed": seed,
+        "delta_observed": rep.delta_observed,
+        "rank2_min_ratio": rep.rank2_min_ratio,
+    }
+
+
+def _rip1_summary(block: list[dict]) -> dict:
+    return {
+        "delta_observed": _median(block, "delta_observed"),
+        "rank2_min_ratio": min(r["rank2_min_ratio"] for r in block),
+    }
+
+
+def _f_curve_grid(cfg: ExperimentConfig) -> list[dict]:
+    return [{"t": float(t)} for t in np.linspace(0.0, 1.0, 101)]
+
+
+def _f_curve_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     closed = rank2_l1_mean_real if cfg.field == REAL else rank2_l1_mean_complex
-    ts = np.linspace(0.0, 1.0, 101)
-
-    def one(args):
-        ti, t = args
-        t0 = time.perf_counter()
-        seed = _child_seed(cfg.seed, ti, 0, 1)
-        mean, stderr = rank2_l1_mc(float(t), cfg.field, cfg.mc_samples, seed)
-        return {
-            "experiment": cfg.experiment,
-            "row_type": "trial",
-            "field": cfg.field,
-            "t": float(t),
-            "f_closed": float(closed(t)),
-            "mc_mean": mean,
-            "mc_stderr": stderr,
-            "wall_time_ms": (time.perf_counter() - t0) * 1e3,
-        }
-
-    results = _map_trials(one, list(enumerate(ts)))
-    rows, timings = [], []
-    for r in results:
-        timings.append(
-            {
-                "experiment": cfg.experiment,
-                "key": f"t={r['t']!r}",
-                "trial": 0,
-                "wall_time_ms": r.pop("wall_time_ms"),
-            }
-        )
-        rows.append(r)
-    fields = ["experiment", "row_type", "field", "t", "f_closed", "mc_mean", "mc_stderr"]
-    return fields, rows, timings
+    seed = child_seed(cfg.seed, gi, t, 1)
+    mean, stderr = rank2_l1_mc(point["t"], cfg.field, cfg.mc_samples, seed)
+    return {"f_closed": float(closed(point["t"])), "mc_mean": mean, "mc_stderr": stderr}
 
 
-RUNNERS = {
-    "snr-sweep": run_snr_sweep,
-    "oversampling-sweep": run_oversampling_sweep,
-    "phase-transition": run_phase_transition,
-    "certificate-study": run_certificate_study,
-    "rip1-study": run_rip1_study,
-    "f-curves": run_f_curves,
+class _Experiment(NamedTuple):
+    fields: list[str]
+    grid: Callable[[ExperimentConfig], list[dict]]
+    trial: Callable[..., dict]
+    summary: Callable[[list[dict]], dict] | None = None
+    trials: int | None = None  # trials per grid point, when fixed rather than cfg.trials
+
+
+_EXPERIMENTS = {
+    "snr-sweep": _Experiment(_RECOVERY_FIELDS, _snr_grid, _recovery_trial, _recovery_summary),
+    "oversampling-sweep": _Experiment(
+        _RECOVERY_FIELDS, _oversampling_grid, _recovery_trial, _recovery_summary
+    ),
+    "phase-transition": _Experiment(
+        _TRANSITION_FIELDS, _transition_grid, _recovery_trial, _recovery_summary
+    ),
+    "certificate-study": _Experiment(
+        _CERTIFICATE_FIELDS, _certificate_grid, _certificate_trial, _certificate_summary
+    ),
+    "rip1-study": _Experiment(_RIP1_FIELDS, _rip1_grid, _rip1_trial, _rip1_summary),
+    "f-curves": _Experiment(_F_CURVE_FIELDS, _f_curve_grid, _f_curve_trial, trials=1),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run an experiment, write its CSV (+ timing sidecar), return #failed trials."""
     cfg.validate()
-    fields, rows, timings = RUNNERS[cfg.experiment](cfg)
-    write_csv(cfg.out, cfg, fields, rows)
+    spec = _EXPERIMENTS[cfg.experiment]
+    rows, timings = run_grid(cfg, spec.grid(cfg), spec.trial, spec.summary, spec.trials)
+    write_csv(cfg.out, cfg, spec.fields, rows)
     _write_timing(cfg.out, timings)
-    return sum(
-        1 for r in rows if r.get("row_type") == "trial" and r.get("converged") is False
-    )
+    return sum(1 for r in rows if r["row_type"] == "trial" and r.get("converged") is False)

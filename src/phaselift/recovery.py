@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import TOL, as_hermitian, as_signal, eig
+from .hermitian import TOL, EigenDecomposition, as_signal, eig
 
 
 @dataclass(frozen=True)
@@ -28,17 +28,21 @@ def extract_rank1(X_hat: np.ndarray) -> tuple[np.ndarray, float]:
     eigenvalue is (nearly) degenerate, since the choice of u_1 is then
     ill-posed.
     """
-    X_hat = as_hermitian(X_hat)
-    ed = eig(X_hat)
+    return _top_component(eig(X_hat))
+
+
+def _top_component(ed: EigenDecomposition) -> tuple[np.ndarray, float]:
+    """`extract_rank1` on an existing eigendecomposition."""
+    V = ed.eigenvectors
     fro = float(np.linalg.norm(ed.eigenvalues))
     if ed.eigenvalues[-1] < -TOL.psd_extraction_rtol * max(fro, 1e-300):
         raise ValueError("matrix is significantly non-PSD; cannot extract a rank-1 component")
     lam1 = max(float(ed.eigenvalues[0]), 0.0)
     if lam1 == 0.0:
-        return np.zeros(X_hat.shape[0], dtype=X_hat.dtype), 0.0
-    if X_hat.shape[0] > 1 and ed.eigenvalues[0] - ed.eigenvalues[1] <= 1e-9 * max(1.0, lam1):
+        return np.zeros(V.shape[0], dtype=V.dtype), 0.0
+    if V.shape[0] > 1 and ed.eigenvalues[0] - ed.eigenvalues[1] <= 1e-9 * max(1.0, lam1):
         warnings.warn("top eigenvalue is nearly degenerate; rank-1 extraction is ill-posed")
-    return np.sqrt(lam1) * ed.eigenvectors[:, 0], lam1
+    return np.sqrt(lam1) * V[:, 0], lam1
 
 
 def debias(x_hat: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -77,10 +81,9 @@ def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
 
 def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResult:
     """Full recovery pipeline: extraction, debiasing, optional error metrics."""
-    X_hat = as_hermitian(X_hat)
-    spectrum = eig(X_hat).eigenvalues
-    x_hat, lam1 = extract_rank1(X_hat)
-    x_deb = debias(x_hat, spectrum)
+    ed = eig(X_hat)
+    x_hat, lam1 = _top_component(ed)
+    x_deb = debias(x_hat, ed.eigenvalues)
     err = err_rms = None
     if x_true is not None:
         err = rel_mse(as_signal(x_true), x_hat)
@@ -89,7 +92,7 @@ def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResu
         x_hat=x_hat,
         x_hat_debiased=x_deb,
         lambda1=lam1,
-        spectrum=spectrum,
+        spectrum=ed.eigenvalues,
         rel_mse=err,
         rel_rms=err_rms,
     )

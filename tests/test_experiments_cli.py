@@ -135,6 +135,34 @@ class TestRecoverySweeps:
         assert rates[-1] >= 2 / 3
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
+    def test_phase_transition_summary_covers_own_block(self, tmp_path):
+        # a repeated grid value must not merge the two blocks' success rates
+        out = tmp_path / "pt_repeat.csv"
+        cfg = ExperimentConfig(
+            experiment="phase-transition", n=8, m_over_n=[3, 3], trials=3, seed=6, out=str(out)
+        )
+        run_experiment(cfg)
+        _, rows = read_csv(out)
+        assert [r["row_type"] for r in rows] == (["trial"] * 3 + ["summary"]) * 2
+        for block, summary in ((rows[0:3], rows[3]), (rows[4:7], rows[7])):
+            mean = np.mean([float(r["success"]) for r in block])
+            assert float(summary["success_rate"]) == pytest.approx(mean, abs=1e-15)
+
+    def test_summary_noise_matches_trials(self, tmp_path):
+        for experiment, extra in (
+            ("snr-sweep", {"snr_db": [20.0, float("inf")]}),
+            ("phase-transition", {"m_over_n": [3]}),
+        ):
+            out = tmp_path / f"{experiment}.csv"
+            cfg = ExperimentConfig(
+                experiment=experiment, n=8, trials=2, seed=1, out=str(out), **extra
+            )
+            run_experiment(cfg)
+            _, rows = read_csv(out)
+            for i, row in enumerate(rows):
+                if row["row_type"] == "summary":
+                    assert row["noise"] == rows[i - 1]["noise"] == rows[i - 2]["noise"]
+
     def test_oversampling_grid_rows(self, tmp_path):
         out = tmp_path / "ovs.csv"
         cfg = ExperimentConfig(
@@ -186,6 +214,80 @@ class TestStudies:
         _, rows = read_csv(out)
         keys = [(int(r["n"]), int(r["m"])) for r in rows if r["row_type"] == "trial"]
         assert keys == sorted(keys)
+
+
+_RECOVERY_HEADER = (
+    "experiment row_type snr_db n m trial seed noise field rel_mse rel_rms rel_mse_debiased "
+    "rel_rms_debiased matrix_err_fro eps residual lambda iterations converged"
+).split()
+_STUDY_HEADER = ["experiment", "row_type", "n", "m", "trial", "seed", "field"]
+_PAIRED = ["trial", "summary", "trial", "summary"]
+
+#: experiment -> (config, header, row_type sequence, seed column).  Seeds come
+#: from SeedSequence, whose output does not depend on the platform.
+CSV_FORMATS = {
+    "snr-sweep": (
+        dict(n=8, trials=1, snr_db=[30.0, float("inf")], field="real", noise="poisson", seed=2),
+        _RECOVERY_HEADER,
+        _PAIRED,
+        ["10205131367261463271", "", "11668005675192817412", ""],
+    ),
+    "oversampling-sweep": (
+        dict(n=8, m_over_n=[4, 8], snr_db=[15.0], noise="poisson", trials=1, seed=7),
+        _RECOVERY_HEADER,
+        _PAIRED,
+        ["14849676447347996824", "", "1665402861058523971", ""],
+    ),
+    "phase-transition": (
+        dict(n=8, m_over_n=[3, 6], trials=1, seed=6),
+        _RECOVERY_HEADER + ["success", "success_rate"],
+        _PAIRED,
+        ["1292655779252876966", "", "2752493136690147319", ""],
+    ),
+    "certificate-study": (
+        dict(n=16, m=[32, 128], trials=2, field="real", seed=8),
+        _STUDY_HEADER
+        + ["beta", "dist_tangent", "opnorm_complement", "truncated_fraction", "pass", "pass_rate"],
+        ["trial", "trial", "summary"] * 2,
+        [
+            "1770640543075222001",
+            "18007668463621282124",
+            "",
+            "11373900588583968950",
+            "16081896081136168698",
+            "",
+        ],
+    ),
+    "rip1-study": (
+        dict(n=8, m=[32, 16], trials=1, field="real", seed=9),
+        _STUDY_HEADER + ["delta_observed", "rank2_min_ratio"],
+        _PAIRED,
+        ["7789369903381946508", "", "551248059288292157", ""],
+    ),
+    "f-curves": (
+        dict(mc_samples=1000, seed=3, field="real"),
+        ["experiment", "row_type", "field", "t", "f_closed", "mc_mean", "mc_stderr"],
+        ["trial"] * 101,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(CSV_FORMATS))
+def test_csv_format(experiment, tmp_path):
+    params, header, row_types, seeds = CSV_FORMATS[experiment]
+    out = tmp_path / "fmt.csv"
+    cfg = ExperimentConfig(experiment=experiment, out=str(out), **params)
+    run_experiment(cfg)
+    first = out.read_bytes()
+    _, rows = read_csv(out)
+    assert list(rows[0]) == header
+    assert [r["row_type"] for r in rows] == row_types
+    assert all(r["experiment"] == experiment for r in rows)
+    if seeds is not None:
+        assert [r["seed"] for r in rows] == seeds
+    run_experiment(cfg)
+    assert out.read_bytes() == first
 
 
 class TestCliEntry:

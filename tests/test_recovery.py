@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from phaselift.hermitian import eig
 from phaselift.recovery import RecoveryResult, debias, extract_rank1, recover, rel_mse
 
 from oracles import phase_grid_rel_mse
@@ -129,6 +130,24 @@ class TestPipeline:
         assert np.linalg.norm(res.x_hat) ** 2 == pytest.approx(res.lambda1, rel=1e-10)
         energy = np.sum(np.maximum(res.spectrum, 0.0))
         assert np.linalg.norm(res.x_hat_debiased) ** 2 == pytest.approx(energy, rel=1e-10)
+
+    def test_recover_decomposes_once(self, monkeypatch):
+        import phaselift.recovery as recovery
+
+        calls = []
+
+        def counting_eig(A):
+            calls.append(A)
+            return eig(A)
+
+        monkeypatch.setattr(recovery, "eig", counting_eig)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        X = np.outer(x, x.conj()) + 0.01 * np.eye(5)
+        res = recover(X, x_true=x)
+        assert len(calls) == 1
+        x_hat, lam1 = extract_rank1(X)
+        assert np.array_equal(res.x_hat, x_hat) and res.lambda1 == lam1
 
     def test_extract_then_compare_roundtrip(self):
         rng = np.random.default_rng(9)
