@@ -40,11 +40,7 @@ from .measurement import (
     apply_adjoint,
     apply_measurement,
     intensities,
-    load_ensemble,
-    load_intensity,
     sample_ensemble,
-    save_ensemble,
-    save_intensity,
 )
 from .recovery import RecoveryResult, debias, extract_rank1, recover, rel_mse
 from .solver import (
@@ -82,8 +78,6 @@ __all__ = [
     "extract_rank1",
     "intensities",
     "l1_isometry_check",
-    "load_ensemble",
-    "load_intensity",
     "matrix_norms",
     "project_tangent",
     "project_tangent_complement",
@@ -94,8 +88,6 @@ __all__ = [
     "recover",
     "rel_mse",
     "sample_ensemble",
-    "save_ensemble",
-    "save_intensity",
     "solve_constrained",
     "solve_regularized",
     "verify_certificate",

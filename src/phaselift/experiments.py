@@ -32,7 +32,7 @@ from .measurement import NOISE_MODELS, add_noise, intensities, sample_ensemble
 from .recovery import recover, rel_mse
 from .solver import SolverOptions, solve_constrained
 
-SCHEMA_VERSION = "phaselift-csv-1"
+SCHEMA_VERSION = "phaselift-csv-2"
 
 #: Success threshold for phase-transition runs (relative MSE).
 PHASE_TRANSITION_SUCCESS = 1e-5
@@ -75,7 +75,9 @@ class ExperimentConfig:
             raise ConfigError("m grid entries must be positive")
 
     def digest(self) -> str:
-        blob = json.dumps(asdict(self), sort_keys=True, default=str)
+        """Hash of every field except `out`, so one config hashes the same at any path."""
+        fields = {k: v for k, v in asdict(self).items() if k != "out"}
+        blob = json.dumps(fields, sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     @classmethod

@@ -161,54 +161,3 @@ def add_noise(
     nu *= target / nrm
     return IntensityData(b=b_clean + nu, nu=nu, eps=float(np.linalg.norm(nu)))
 
-
-# --- provenance serialization -------------------------------------------------
-#
-# Columnar text format, one file per object.  Ensembles:
-#   # phaselift-ensemble v1
-#   # n=<n> m=<m> model=<model> seed=<seed>
-#   <m rows of n columns; complex fields store re/im pairs, 2n columns>
-# Intensity data:
-#   # phaselift-intensity v1
-#   # m=<m> eps=<repr>
-#   <m rows of "b nu">
-
-
-def save_ensemble(path: str, ens: SensingEnsemble) -> None:
-    header = f"phaselift-ensemble v1\nn={ens.n} m={ens.m} model={ens.model} seed={ens.seed}"
-    Z = ens.vectors
-    if ens.field == COMPLEX:
-        Z = np.column_stack([Z.real, Z.imag])
-    np.savetxt(path, Z, fmt="%.17g", header=header)
-
-
-def load_ensemble(path: str) -> SensingEnsemble:
-    with open(path) as fh:
-        magic = fh.readline()
-        if "phaselift-ensemble v1" not in magic:
-            raise ValueError("not a phaselift ensemble file")
-        meta = dict(kv.split("=") for kv in fh.readline().lstrip("# ").split())
-        data = np.loadtxt(fh, ndmin=2)
-    n, m, model, seed = int(meta["n"]), int(meta["m"]), meta["model"], int(meta["seed"])
-    if model.startswith("real"):
-        Z = data
-    else:
-        Z = data[:, :n] + 1j * data[:, n:]
-    if Z.shape != (m, n):
-        raise ValueError("ensemble file shape does not match its header")
-    return SensingEnsemble(vectors=Z, model=model, seed=seed)
-
-
-def save_intensity(path: str, data: IntensityData) -> None:
-    header = f"phaselift-intensity v1\nm={data.m} eps={data.eps!r}"
-    np.savetxt(path, np.column_stack([data.b, data.nu]), fmt="%.17g", header=header)
-
-
-def load_intensity(path: str) -> IntensityData:
-    with open(path) as fh:
-        magic = fh.readline()
-        if "phaselift-intensity v1" not in magic:
-            raise ValueError("not a phaselift intensity file")
-        meta = dict(kv.split("=") for kv in fh.readline().lstrip("# ").split())
-        arr = np.loadtxt(fh, ndmin=2)
-    return IntensityData(b=arr[:, 0], nu=arr[:, 1], eps=float(meta["eps"]))

@@ -18,25 +18,26 @@ from ._rng import substream
 from .hermitian import REAL, as_hermitian
 from .measurement import IntensityData, SensingEnsemble, apply_adjoint, apply_measurement
 
-#: Noiseless data is solved with this relative residual target instead of eps=0.
-NOISELESS_EPS_REL = 1e-8
+#: Residual a noiseless (eps = 0) solve must reach, relative to ||b||, to count as converged.
+NOISELESS_EPS_REL = 1e-5
 #: Relative width of the final lambda bracket in the bisection.
 LAMBDA_REL_TOL = 1e-3
-MAX_BISECTION_PROBES = 50
+#: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * max(1, ||X_new||).
+STEP_REL_TOL = 1e-8
+#: Step size as a fraction of 1 / L.
+STEP_SAFETY = 0.9
+#: Power iteration stops once the Rayleigh quotient moves by at most this, relatively.
+POWER_REL_TOL = 1e-4
+POWER_MAX_ITERS = 500
 
 
 @dataclass
 class SolverOptions:
     max_iters: int = 5000
-    rel_tol: float = 1e-8
-    step_safety: float = 0.9
-    restart: bool = True
 
     def __post_init__(self):
-        if self.max_iters <= 0 or self.rel_tol <= 0 or self.rel_tol >= 1:
-            raise ValueError("max_iters must be positive and 0 < rel_tol < 1")
-        if not (0 < self.step_safety <= 1):
-            raise ValueError("step_safety must lie in (0, 1]")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -71,7 +72,7 @@ def prox_psd_trace(V: np.ndarray, tau: float) -> np.ndarray:
     return (X + X.conj().T) / 2
 
 
-def estimate_lipschitz(ens: SensingEnsemble, rel_tol: float = 1e-4, max_iters: int = 500) -> float:
+def estimate_lipschitz(ens: SensingEnsemble) -> float:
     """Upper bound (with 5% margin) on the operator norm of X -> A*(A(X)).
 
     Power iteration on Hermitian matrices; A*A is self-adjoint and PSD
@@ -87,22 +88,17 @@ def estimate_lipschitz(ens: SensingEnsemble, rel_tol: float = 1e-4, max_iters: i
     X = (X + X.conj().T) / 2
     X /= np.linalg.norm(X)
     lam_prev = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         Y = apply_adjoint(ens, apply_measurement(ens, X))
         lam = float(np.real(np.vdot(X, Y)))  # Rayleigh quotient; ||X||_F = 1
         nrm = float(np.linalg.norm(Y))
         if nrm == 0.0:
             return 1.05 * max(lam, 0.0)
         X = Y / nrm
-        if abs(lam - lam_prev) <= rel_tol * max(1.0, abs(lam)):
+        if abs(lam - lam_prev) <= POWER_REL_TOL * max(1.0, abs(lam)):
             return 1.05 * lam
         lam_prev = lam
     raise RuntimeError(f"power iteration did not converge; last estimate {lam_prev}")
-
-
-def _objective(ens, b, lam, X):
-    r = apply_measurement(ens, X) - b
-    return 0.5 * float(r @ r) + lam * float(np.trace(X).real), r
 
 
 def solve_regularized(
@@ -113,7 +109,11 @@ def solve_regularized(
     lipschitz: float | None = None,
     X0: np.ndarray | None = None,
 ) -> SolveReport:
-    """FISTA with adaptive restart for the trace-regularized problem."""
+    """FISTA with adaptive restart for the trace-regularized problem.
+
+    The residuals r = A(X) - b and rY = A(Y) - b travel with the iterates;
+    rY follows from r by linearity, so each prox step costs one forward map.
+    """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     b = np.asarray(b, dtype=np.float64)
@@ -121,46 +121,51 @@ def solve_regularized(
         raise ValueError("data length does not match ensemble")
     opts = opts or SolverOptions()
     L = lipschitz if lipschitz is not None else estimate_lipschitz(ens)
-    step = opts.step_safety / L
+    step = STEP_SAFETY / L
+
+    def evaluate(X):
+        r = apply_measurement(ens, X) - b
+        return X, r, 0.5 * float(r @ r) + lam * float(np.trace(X).real)
+
+    def prox_step(V, rV):
+        return evaluate(prox_psd_trace(V - step * apply_adjoint(ens, rV), step * lam))
 
     dtype = np.float64 if ens.field == REAL else np.complex128
-    X = np.zeros((ens.n, ens.n), dtype=dtype) if X0 is None else as_hermitian(X0).astype(dtype)
-    Y = X.copy()
+    X, r, obj = evaluate(
+        np.zeros((ens.n, ens.n), dtype=dtype) if X0 is None else as_hermitian(X0).astype(dtype)
+    )
+    Y, rY = X, r
     t = 1.0
-    obj, _ = _objective(ens, b, lam, X)
     best = obj
     trace = [best]
     converged = False
     iters = 0
     for k in range(opts.max_iters):
         iters = k + 1
-        grad = apply_adjoint(ens, apply_measurement(ens, Y) - b)
-        X_new = prox_psd_trace(Y - step * grad, step * lam)
-        obj_new, _ = _objective(ens, b, lam, X_new)
+        X_new, r_new, obj_new = prox_step(Y, rY)
         if not np.isfinite(obj_new):
             raise RuntimeError("objective diverged; Lipschitz bound is likely invalid")
-        if opts.restart and obj_new > obj:
+        if obj_new > obj:
             # kill momentum and retake the step from the last iterate
             t = 1.0
-            grad = apply_adjoint(ens, apply_measurement(ens, X) - b)
-            X_new = prox_psd_trace(X - step * grad, step * lam)
-            obj_new, _ = _objective(ens, b, lam, X_new)
+            X_new, r_new, obj_new = prox_step(X, r)
         best = min(best, obj_new)
         trace.append(best)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
+        beta = (t - 1.0) / t_new
         dX = X_new - X
-        Y = X_new + ((t - 1.0) / t_new) * dX
-        step_small = np.linalg.norm(dX) <= opts.rel_tol * max(1.0, np.linalg.norm(X_new))
-        X, t, obj = X_new, t_new, obj_new
+        Y = X_new + beta * dX
+        rY = r_new + beta * (r_new - r)
+        step_small = np.linalg.norm(dX) <= STEP_REL_TOL * max(1.0, np.linalg.norm(X_new))
+        X, r, t, obj = X_new, r_new, t_new, obj_new
         if step_small:
             converged = True
             break
-    residual = float(np.linalg.norm(apply_measurement(ens, X) - b))
     return SolveReport(
         X_hat=X,
         iterations=iters,
         objective_trace=trace,
-        residual=residual,
+        residual=float(np.linalg.norm(r)),
         lambda_used=float(lam),
         converged=converged,
     )
@@ -184,10 +189,12 @@ def solve_constrained(
     """Solve the residual-constrained problem by bisection on lambda.
 
     Finds the largest lambda whose regularized solution has residual at
-    most eps (warm-starting each probe), with eps floored at
-    NOISELESS_EPS_REL * ||b|| so noiseless data needs no special path.
-    If even the smallest probed lambda cannot meet eps, the
-    minimal-residual iterate is returned with converged=False.
+    most eps (warm-starting each probe).  Noiseless data (eps = 0) is
+    solved by the first, smallest-lambda probe alone; it counts as
+    converged when FISTA's step rule was met and the residual is at most
+    NOISELESS_EPS_REL * ||b||.  If even the smallest probed lambda cannot
+    meet eps, the minimal-residual iterate is returned with
+    converged=False.
     """
     opts = opts or SolverOptions()
     b = np.asarray(data.b, dtype=np.float64)
@@ -208,26 +215,21 @@ def solve_constrained(
         )
 
     L = estimate_lipschitz(ens)
-    lam_lo = lam_hi * 1e-8
-    total_iters = 0
-
-    rep = solve_regularized(ens, b, lam_lo, opts, lipschitz=L)
-    total_iters += rep.iterations
-    if rep.residual > eps:
-        # eps is infeasibly small for this data; report the best we have
-        rep.iterations = total_iters
-        rep.converged = False
+    lo = lam_hi * 1e-8
+    rep = solve_regularized(ens, b, lo, opts, lipschitz=L)
+    if rep.residual > eps or data.eps == 0:
+        # eps is infeasibly small for this data, or the data is noiseless
+        rep.converged = rep.converged and rep.residual <= eps
         return rep
 
-    lo, rep_lo = lam_lo, rep
-    hi = lam_hi
-    probes = 1
+    # each probe halves log(hi / lo) from ln(1e8), so the loop ends after 15 probes
+    rep_lo, hi = rep, lam_hi
+    total_iters = rep.iterations
     warm = rep.X_hat
-    while hi / lo > 1.0 + LAMBDA_REL_TOL and probes < MAX_BISECTION_PROBES:
+    while hi / lo > 1.0 + LAMBDA_REL_TOL:
         mid = np.sqrt(lo * hi)
         rep_mid = solve_regularized(ens, b, mid, opts, lipschitz=L, X0=warm)
         total_iters += rep_mid.iterations
-        probes += 1
         warm = rep_mid.X_hat
         if rep_mid.residual <= eps:
             lo, rep_lo = mid, rep_mid

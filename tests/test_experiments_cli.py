@@ -53,6 +53,15 @@ class TestConfig:
         b = ExperimentConfig(experiment="f-curves", seed=2)
         assert a.digest() != b.digest()
 
+    def test_digest_ignores_output_path(self, tmp_path):
+        hashes = []
+        for name in ("a.csv", "b.csv"):
+            out = tmp_path / name
+            run_experiment(ExperimentConfig(experiment="f-curves", mc_samples=1000, out=str(out)))
+            comments, _ = read_csv(out)
+            hashes.append([c for c in comments if c.startswith("# config_sha256=")])
+        assert hashes[0] == hashes[1] and len(hashes[0]) == 1
+
 
 class TestFCurves:
     def test_schema_and_determinism(self, tmp_path):
@@ -321,3 +330,19 @@ class TestCliEntry:
             ]
         )
         assert code == 3
+
+    def test_strict_accepts_noiseless_recovery(self, tmp_path):
+        out = tmp_path / "noiseless.csv"
+        code = main(
+            [
+                "--experiment", "snr-sweep",
+                "--n", "8",
+                "--trials", "1",
+                "--snr-db", "inf",
+                "--out", str(out),
+                "--strict",
+            ]
+        )
+        assert code == 0
+        _, rows = read_csv(out)
+        assert [r["converged"] for r in rows if r["row_type"] == "trial"] == ["1"]

@@ -8,11 +8,7 @@ from phaselift.measurement import (
     apply_adjoint,
     apply_measurement,
     intensities,
-    load_ensemble,
-    load_intensity,
     sample_ensemble,
-    save_ensemble,
-    save_intensity,
 )
 
 
@@ -202,22 +198,3 @@ class TestDistributionalReductions:
         )
         assert np.allclose(intensities(ens, x) / norms**2, intensities(unit, x))
 
-
-class TestSerialization:
-    @pytest.mark.parametrize("model", ["real-unit-sphere", "complex-gaussian"])
-    def test_ensemble_roundtrip(self, model, tmp_path):
-        ens = sample_ensemble(5, 9, model, seed=31)
-        path = tmp_path / "ens.txt"
-        save_ensemble(path, ens)
-        back = load_ensemble(path)
-        assert back.model == ens.model and back.seed == ens.seed
-        assert np.array_equal(back.vectors, ens.vectors)
-
-    def test_intensity_roundtrip(self, tmp_path):
-        data = add_noise(np.linspace(0.1, 2.0, 12), "gaussian", 25.0, seed=32)
-        path = tmp_path / "data.txt"
-        save_intensity(path, data)
-        back = load_intensity(path)
-        assert np.array_equal(back.b, data.b)
-        assert np.array_equal(back.nu, data.nu)
-        assert back.eps == data.eps

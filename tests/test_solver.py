@@ -11,6 +11,7 @@ from phaselift.measurement import (
 )
 from phaselift.recovery import rel_mse, recover
 from phaselift.solver import (
+    NOISELESS_EPS_REL,
     SolverOptions,
     estimate_lipschitz,
     prox_psd_trace,
@@ -133,6 +134,43 @@ class TestRegularized:
         with pytest.raises(ValueError):
             solve_regularized(ens, np.zeros(6), lam=-1.0)
 
+    @pytest.mark.parametrize("model", ["real-gaussian", "complex-unit-sphere"])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_carried_residual_matches_forward_map(self, model, warm):
+        ens = sample_ensemble(6, 30, model, seed=17)
+        rng = np.random.default_rng(12)
+        b = rng.uniform(0.0, 2.0, size=30)
+        lam = 0.01 * zero_solution_lambda(ens, b)
+        X0 = None
+        if warm:
+            B = rng.standard_normal((6, 2))
+            X0 = B @ B.T
+        rep = solve_regularized(ens, b, lam, SolverOptions(max_iters=200), X0=X0)
+        direct = np.linalg.norm(apply_measurement(ens, rep.X_hat) - b)
+        assert rep.residual == pytest.approx(direct, rel=1e-10)
+
+    def test_one_forward_map_per_prox_step(self, monkeypatch):
+        import phaselift.solver as solver
+
+        calls = {"forward": 0, "prox": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        ens = sample_ensemble(5, 25, "complex-gaussian", seed=18)
+        rng = np.random.default_rng(13)
+        b = rng.uniform(0.0, 2.0, size=25)
+        L = estimate_lipschitz(ens)
+        monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
+        monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
+        rep = solve_regularized(ens, b, 0.05 * zero_solution_lambda(ens, b), lipschitz=L)
+        assert calls["prox"] > rep.iterations > 1  # some steps restarted
+        assert calls["forward"] == calls["prox"] + 1
+
     def test_oracle_equivalence_light(self):
         # light version of the long-run equivalence check in acceptance
         ens = sample_ensemble(3, 12, "real-gaussian", seed=9)
@@ -199,9 +237,9 @@ class TestConstrained:
         assert np.all(np.diff(residuals) >= -1e-8 * max(residuals))
 
     def test_infeasible_eps_flagged_not_thrown(self):
-        # inconsistent data declared noiseless: the 1e-8*||b|| residual
-        # floor is unreachable, so the minimal-residual iterate comes
-        # back flagged instead of raising
+        # inconsistent data declared noiseless: the NOISELESS_EPS_REL*||b||
+        # residual floor is unreachable, so the minimal-residual iterate
+        # comes back flagged instead of raising
         ens = sample_ensemble(4, 24, "real-gaussian", seed=15)
         rng = np.random.default_rng(11)
         x = rng.standard_normal(4)
@@ -209,7 +247,25 @@ class TestConstrained:
         data = IntensityData(b=b, nu=np.zeros(24), eps=0.0)
         rep = solve_constrained(ens, data)
         assert not rep.converged
-        assert rep.residual > 1e-8 * np.linalg.norm(b)
+        assert rep.residual > NOISELESS_EPS_REL * np.linalg.norm(b)
+
+    def test_noiseless_solve_is_one_converged_probe(self, monkeypatch):
+        import phaselift.solver as solver
+
+        probes = []
+        original = solver.solve_regularized
+
+        def counted(*args, **kwargs):
+            probes.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "solve_regularized", counted)
+        ens = sample_ensemble(8, 48, "real-unit-sphere", seed=19)
+        b = intensities(ens, np.random.default_rng(15).standard_normal(8))
+        rep = solve_constrained(ens, IntensityData(b=b, nu=np.zeros_like(b), eps=0.0))
+        assert len(probes) == 1
+        assert rep.converged
+        assert rep.residual <= NOISELESS_EPS_REL * np.linalg.norm(b)
 
 
 def test_report_summary_line():
