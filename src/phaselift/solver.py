@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import substream
 from .hermitian import REAL, as_hermitian
 from .measurement import IntensityData, SensingEnsemble, apply_adjoint, apply_measurement
 
@@ -24,11 +23,6 @@ NOISELESS_EPS_REL = 1e-5
 LAMBDA_REL_TOL = 1e-3
 #: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * max(1, ||X_new||).
 STEP_REL_TOL = 1e-8
-#: Step size as a fraction of 1 / L.
-STEP_SAFETY = 0.9
-#: Power iteration stops once the Rayleigh quotient moves by at most this, relatively.
-POWER_REL_TOL = 1e-4
-POWER_MAX_ITERS = 500
 
 
 @dataclass
@@ -73,32 +67,19 @@ def prox_psd_trace(V: np.ndarray, tau: float) -> np.ndarray:
 
 
 def estimate_lipschitz(ens: SensingEnsemble) -> float:
-    """Upper bound (with 5% margin) on the operator norm of X -> A*(A(X)).
+    """Upper bound on the operator norm L of X -> A*(A(X)), from two round trips.
 
-    Power iteration on Hermitian matrices; A*A is self-adjoint and PSD
-    in the trace inner product, so the iteration converges to the norm.
+    L = lambda_max(G) for the Gram matrix G_ij = |<z_i, z_j>|^2 >= 0, and
+    G y = A(A*(y)).  With v = G 1 (so v_i >= ||z_i||^4), the Collatz-Wielandt
+    inequality gives lambda_max(G) <= max_i (G v)_i / v_i.  A zero z_i is a
+    zero row and column of G, so rows with v_i = 0 are skipped.
     """
-    if ens.m < 1:
-        raise ValueError("empty ensemble")
-    rng = substream(ens.seed, 2)
-    n = ens.n
-    X = rng.standard_normal((n, n))
-    if ens.field != REAL:
-        X = X + 1j * rng.standard_normal((n, n))
-    X = (X + X.conj().T) / 2
-    X /= np.linalg.norm(X)
-    lam_prev = 0.0
-    for _ in range(POWER_MAX_ITERS):
-        Y = apply_adjoint(ens, apply_measurement(ens, X))
-        lam = float(np.real(np.vdot(X, Y)))  # Rayleigh quotient; ||X||_F = 1
-        nrm = float(np.linalg.norm(Y))
-        if nrm == 0.0:
-            return 1.05 * max(lam, 0.0)
-        X = Y / nrm
-        if abs(lam - lam_prev) <= POWER_REL_TOL * max(1.0, abs(lam)):
-            return 1.05 * lam
-        lam_prev = lam
-    raise RuntimeError(f"power iteration did not converge; last estimate {lam_prev}")
+    v = apply_measurement(ens, apply_adjoint(ens, np.ones(ens.m)))
+    pos = v > 0
+    if not np.any(pos):
+        raise ValueError("every sensing vector is zero, so A*A has norm 0 and no step size")
+    Gv = apply_measurement(ens, apply_adjoint(ens, v))
+    return float(np.max(Gv[pos] / v[pos]))
 
 
 def solve_regularized(
@@ -106,7 +87,6 @@ def solve_regularized(
     b: np.ndarray,
     lam: float,
     opts: SolverOptions | None = None,
-    lipschitz: float | None = None,
     X0: np.ndarray | None = None,
 ) -> SolveReport:
     """FISTA with adaptive restart for the trace-regularized problem.
@@ -120,8 +100,7 @@ def solve_regularized(
     if b.shape != (ens.m,):
         raise ValueError("data length does not match ensemble")
     opts = opts or SolverOptions()
-    L = lipschitz if lipschitz is not None else estimate_lipschitz(ens)
-    step = STEP_SAFETY / L
+    step = 1.0 / estimate_lipschitz(ens)
 
     def evaluate(X):
         r = apply_measurement(ens, X) - b
@@ -136,21 +115,19 @@ def solve_regularized(
     )
     Y, rY = X, r
     t = 1.0
-    best = obj
-    trace = [best]
+    trace = [obj]
     converged = False
     iters = 0
     for k in range(opts.max_iters):
         iters = k + 1
         X_new, r_new, obj_new = prox_step(Y, rY)
         if not np.isfinite(obj_new):
-            raise RuntimeError("objective diverged; Lipschitz bound is likely invalid")
+            raise RuntimeError("objective is not finite: inf/NaN or overflow in the data")
         if obj_new > obj:
             # kill momentum and retake the step from the last iterate
             t = 1.0
             X_new, r_new, obj_new = prox_step(X, r)
-        best = min(best, obj_new)
-        trace.append(best)
+        trace.append(obj_new)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         beta = (t - 1.0) / t_new
         dX = X_new - X
@@ -214,9 +191,8 @@ def solve_constrained(
             converged=True,
         )
 
-    L = estimate_lipschitz(ens)
     lo = lam_hi * 1e-8
-    rep = solve_regularized(ens, b, lo, opts, lipschitz=L)
+    rep = solve_regularized(ens, b, lo, opts)
     if rep.residual > eps or data.eps == 0:
         # eps is infeasibly small for this data, or the data is noiseless
         rep.converged = rep.converged and rep.residual <= eps
@@ -228,7 +204,7 @@ def solve_constrained(
     warm = rep.X_hat
     while hi / lo > 1.0 + LAMBDA_REL_TOL:
         mid = np.sqrt(lo * hi)
-        rep_mid = solve_regularized(ens, b, mid, opts, lipschitz=L, X0=warm)
+        rep_mid = solve_regularized(ens, b, mid, opts, X0=warm)
         total_iters += rep_mid.iterations
         warm = rep_mid.X_hat
         if rep_mid.residual <= eps:

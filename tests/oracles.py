@@ -18,6 +18,12 @@ def plain_proximal_gradient(ens, b, lam, step, iters):
     return X, obj
 
 
+def gram_lambda_max(ens):
+    """||A*A|| as the top eigenvalue of the dense Gram matrix G_ij = |<z_i, z_j>|^2."""
+    Z = ens.vectors
+    return float(np.linalg.eigvalsh(np.abs(Z.conj() @ Z.T) ** 2)[-1])
+
+
 def phase_grid_rel_mse(x, x_hat, num_phases=100_000):
     """Brute-force minimization of ||c x - x_hat||^2 / ||x||^2 over a phase grid."""
     phases = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, num_phases, endpoint=False))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselift.hermitian import matrix_norms
 from phaselift.measurement import (
+    MODELS,
     IntensityData,
+    SensingEnsemble,
     add_noise,
     apply_measurement,
     intensities,
@@ -20,7 +24,7 @@ from phaselift.solver import (
     zero_solution_lambda,
 )
 
-from oracles import plain_proximal_gradient
+from oracles import gram_lambda_max, plain_proximal_gradient
 
 
 class TestProx:
@@ -62,17 +66,43 @@ class TestProx:
 
 class TestLipschitz:
     def test_single_rank1_term(self):
-        from phaselift.measurement import SensingEnsemble
-
         ens = SensingEnsemble(vectors=np.eye(2)[:1], model="real-gaussian", seed=0)
-        L = estimate_lipschitz(ens)
-        # the raw power-iteration estimate carries a deliberate 5% margin
-        assert L / 1.05 == pytest.approx(1.0, rel=0.02)
+        assert estimate_lipschitz(ens) == pytest.approx(1.0, rel=1e-12)
+
+    def test_zero_rows_are_skipped(self):
+        ens = SensingEnsemble(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), "real-gaussian", 0)
+        assert estimate_lipschitz(ens) == 1.0
+
+    def test_all_zero_ensemble_rejected(self):
+        ens = SensingEnsemble(np.zeros((3, 2)), "real-gaussian", 0)
+        with pytest.raises(ValueError, match="zero"):
+            estimate_lipschitz(ens)
+        with pytest.raises(ValueError, match="zero"):
+            solve_regularized(ens, np.ones(3), 0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        duplicate=st.booleans(),
+    )
+    def test_upper_bounds_gram_lambda_max(self, model, n, m, seed, duplicate):
+        ens = sample_ensemble(n, m, model, seed)
+        if duplicate:
+            Z = np.vstack([ens.vectors, ens.vectors[:1]])
+            ens = SensingEnsemble(vectors=Z, model=model, seed=seed)
+        assert estimate_lipschitz(ens) >= gram_lambda_max(ens) * (1 - 1e-12)
+
+    @pytest.mark.parametrize("model,n", [("complex-unit-sphere", 32), ("real-unit-sphere", 128)])
+    def test_bound_is_tight_on_workload_shapes(self, model, n):
+        for seed in range(5):
+            ens = sample_ensemble(n, 6 * n, model, seed)
+            assert estimate_lipschitz(ens) <= 1.05 * gram_lambda_max(ens)
 
     def test_quartic_scaling(self):
         ens = sample_ensemble(4, 10, "real-gaussian", seed=2)
-        from phaselift.measurement import SensingEnsemble
-
         doubled = SensingEnsemble(
             vectors=np.sqrt(2.0) * ens.vectors, model=ens.model, seed=ens.seed
         )
@@ -165,9 +195,10 @@ class TestRegularized:
         rng = np.random.default_rng(13)
         b = rng.uniform(0.0, 2.0, size=25)
         L = estimate_lipschitz(ens)
+        monkeypatch.setattr(solver, "estimate_lipschitz", lambda _ens: L)
         monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
-        rep = solve_regularized(ens, b, 0.05 * zero_solution_lambda(ens, b), lipschitz=L)
+        rep = solve_regularized(ens, b, 0.05 * zero_solution_lambda(ens, b))
         assert calls["prox"] > rep.iterations > 1  # some steps restarted
         assert calls["forward"] == calls["prox"] + 1
 
@@ -178,8 +209,7 @@ class TestRegularized:
         x = rng.standard_normal(3)
         b = intensities(ens, x) + 0.05 * rng.standard_normal(12)
         lam = 0.05 * zero_solution_lambda(ens, b)
-        L = estimate_lipschitz(ens)
-        X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / L, iters=20_000)
+        X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / gram_lambda_max(ens), iters=20_000)
         rep = solve_regularized(ens, b, lam)
         assert rep.objective_trace[-1] == pytest.approx(obj_ref, rel=1e-6)
         assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-4
