@@ -17,9 +17,10 @@ from .analysis import (
 )
 from .certificate import (
     CertificateReport,
-    MeanGramOperator,
     build_certificate,
     check_mean_gram,
+    mean_gram,
+    mean_gram_inverse,
     verify_certificate,
 )
 from .hermitian import (
@@ -45,7 +46,6 @@ from .measurement import (
 from .recovery import RecoveryResult, debias, extract_rank1, recover, rel_mse
 from .solver import (
     SolveReport,
-    SolverOptions,
     estimate_lipschitz,
     prox_psd_trace,
     solve_constrained,
@@ -60,11 +60,9 @@ __all__ = [
     "EigenDecomposition",
     "IntensityData",
     "L1IsometryReport",
-    "MeanGramOperator",
     "RecoveryResult",
     "SensingEnsemble",
     "SolveReport",
-    "SolverOptions",
     "add_noise",
     "apply_adjoint",
     "apply_measurement",
@@ -79,6 +77,8 @@ __all__ = [
     "intensities",
     "l1_isometry_check",
     "matrix_norms",
+    "mean_gram",
+    "mean_gram_inverse",
     "project_tangent",
     "project_tangent_complement",
     "prox_psd_trace",

@@ -53,8 +53,6 @@ def rank2_l1_mc(t: float, field: str, num_samples: int, seed: int) -> tuple[floa
 class L1IsometryReport:
     delta_observed: float
     rank2_min_ratio: float
-    trials: int
-    field: str
 
 
 def l1_isometry_check(field: str, n: int, m: int, trials: int, seed: int) -> L1IsometryReport:
@@ -86,9 +84,4 @@ def l1_isometry_check(field: str, n: int, m: int, trials: int, seed: int) -> L1I
         b = np.abs(Z @ Q[:, 1].conj()) ** 2
         # ||uu* - t vv*||_op = max(1, t) = 1 for t in [0, 1]
         min_ratio = min(min_ratio, float(np.mean(np.abs(a - t * b))))
-    return L1IsometryReport(
-        delta_observed=float(delta),
-        rank2_min_ratio=float(min_ratio),
-        trials=trials,
-        field=field,
-    )
+    return L1IsometryReport(delta_observed=float(delta), rank2_min_ratio=float(min_ratio))

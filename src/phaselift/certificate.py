@@ -19,12 +19,11 @@ from ._rng import substream
 from .hermitian import (
     COMPLEX,
     REAL,
-    TOL,
+    UNIT_ATOL,
     as_hermitian,
     as_signal,
     matrix_norms,
     project_tangent,
-    project_tangent_complement,
 )
 from .measurement import (
     GAUSSIAN_MODELS,
@@ -40,39 +39,19 @@ THRESHOLDS = {REAL: (1.0 / 3.0, 0.5), COMPLEX: (0.2, 0.5)}
 DEFAULT_TRUNCATION_BETA = 3.0
 
 
-@dataclass(frozen=True)
-class MeanGramOperator:
-    """Expected per-measurement Gram map and its inverse, per field."""
+def mean_gram(X: np.ndarray, field: str) -> np.ndarray:
+    """Expected per-measurement Gram map: 2X + Tr(X) I (real), X + Tr(X) I (complex)."""
+    X = as_hermitian(X, field=field)
+    eye = np.eye(X.shape[0], dtype=X.dtype)
+    return (2.0 if field == REAL else 1.0) * X + np.trace(X).real * eye
 
-    field: str
-    n: int
 
-    def __post_init__(self):
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field {self.field!r}")
-        if self.n < 1:
-            raise ValueError("dimension must be positive")
-
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = as_hermitian(X, field=self.field)
-        if X.shape[0] != self.n:
-            raise ValueError("matrix dimension mismatch")
-        return X
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """2X + Tr(X) I in the real field; X + Tr(X) I in the complex field."""
-        X = self._check(X)
-        c = 2.0 if self.field == REAL else 1.0
-        return c * X + np.trace(X).real * np.eye(self.n, dtype=X.dtype)
-
-    def inverse(self, X: np.ndarray) -> np.ndarray:
-        """Exact inverse of `apply`."""
-        X = self._check(X)
-        eye = np.eye(self.n, dtype=X.dtype)
-        tr = np.trace(X).real
-        if self.field == REAL:
-            return 0.5 * (X - tr / (self.n + 2) * eye)
-        return X - tr / (self.n + 1) * eye
+def mean_gram_inverse(X: np.ndarray, field: str) -> np.ndarray:
+    """Exact inverse of `mean_gram`."""
+    X = as_hermitian(X, field=field)
+    n = X.shape[0]
+    shift = np.trace(X).real / (n + 2 if field == REAL else n + 1) * np.eye(n, dtype=X.dtype)
+    return 0.5 * (X - shift) if field == REAL else X - shift
 
 
 @dataclass(frozen=True)
@@ -100,15 +79,14 @@ def check_mean_gram(field: str, n: int, num_samples: int, seed: int) -> float:
     """
     if num_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    op = MeanGramOperator(field, n)
     rng = substream(seed, 3)
-    ens = SensingEnsemble(_draw_gaussian(rng, num_samples, n, field), f"{field}-gaussian", seed)
+    ens = SensingEnsemble(_draw_gaussian(rng, num_samples, n, field), f"{field}-gaussian")
     worst = 0.0
     for _ in range(5):
         X = _draw_gaussian(rng, n, n, field)
         X = (X + X.conj().T) / 2
         est = apply_adjoint(ens, apply_measurement(ens, X)) / num_samples
-        ref = op.apply(X)
+        ref = mean_gram(X, field)
         denom = float(np.linalg.norm(ref))
         worst = max(worst, float(np.linalg.norm(est - ref)) / denom if denom else 0.0)
     return worst
@@ -130,7 +108,7 @@ def build_certificate(
     if ens.model not in GAUSSIAN_MODELS:
         raise ValueError("certificate construction requires a Gaussian ensemble")
     x = as_signal(x, field=ens.field)
-    if x.size != ens.n or abs(np.linalg.norm(x) - 1.0) > TOL.unit_atol:
+    if x.size != ens.n or abs(np.linalg.norm(x) - 1.0) > UNIT_ATOL:
         raise ValueError("x must be a unit vector of matching length")
     n = ens.n
     if 2.0 * beta * np.log(n) < 3.0:
@@ -138,7 +116,7 @@ def build_certificate(
             f"2*beta*log(n) = {2 * beta * np.log(n):.3g} < 3; "
             "truncation bounds are outside their intended regime"
         )
-    w = apply_measurement(ens, MeanGramOperator(ens.field, n).inverse(np.outer(x, x.conj())))
+    w = apply_measurement(ens, mean_gram_inverse(np.outer(x, x.conj()), ens.field))
     if truncate:
         Z = ens.vectors
         keep = (np.abs(Z @ x.conj()) <= np.sqrt(2.0 * beta * np.log(n))) & (
@@ -156,18 +134,17 @@ def verify_certificate(
 ) -> CertificateReport:
     """Measure a candidate certificate against the field's pass thresholds."""
     x = as_signal(x)
-    if abs(np.linalg.norm(x) - 1.0) > TOL.unit_atol:
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_ATOL:
         raise ValueError("x must be unit-norm")
     Y = as_hermitian(Y)
     field = COMPLEX if np.iscomplexobj(Y) or np.iscomplexobj(x) else REAL
     if field == COMPLEX:
         x = x.astype(np.complex128)
         Y = Y.astype(np.complex128)
-    dist_t = float(np.linalg.norm(project_tangent(x, Y) - np.outer(x, x.conj())))
-    op_tp = matrix_norms(project_tangent_complement(x, Y))[2]
+    P = project_tangent(x, Y)
     return CertificateReport(
-        dist_tangent=dist_t,
-        opnorm_complement=op_tp,
+        dist_tangent=float(np.linalg.norm(P - np.outer(x, x.conj()))),
+        opnorm_complement=matrix_norms(Y - P)[2],
         truncated_fraction=float(truncated_fraction),
         thresholds=THRESHOLDS[field],
     )

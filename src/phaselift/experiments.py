@@ -26,11 +26,11 @@ import numpy as np
 
 from ._rng import child_seed, substream
 from .analysis import l1_isometry_check, rank2_l1_mc, rank2_l1_mean_complex, rank2_l1_mean_real
-from .certificate import build_certificate, verify_certificate
+from .certificate import DEFAULT_TRUNCATION_BETA, build_certificate, verify_certificate
 from .hermitian import COMPLEX, REAL
 from .measurement import NOISE_MODELS, add_noise, intensities, sample_ensemble
 from .recovery import recover, rel_mse
-from .solver import SolverOptions, solve_constrained
+from .solver import MAX_ITERS, solve_constrained
 
 SCHEMA_VERSION = "phaselift-csv-2"
 
@@ -55,8 +55,8 @@ class ExperimentConfig:
     seed: int = 0
     out: str = "results.csv"
     mc_samples: int = 100_000
-    beta: float = 3.0
-    max_iters: int = 5000
+    beta: float = DEFAULT_TRUNCATION_BETA
+    max_iters: int = MAX_ITERS
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -67,10 +67,20 @@ class ExperimentConfig:
             raise ConfigError(f"unknown field {self.field!r}")
         if self.noise not in NOISE_MODELS:
             raise ConfigError(f"unknown noise model {self.noise!r}")
+        reads = _EXPERIMENTS[self.experiment].grids
         for name in ("m", "m_over_n", "snr_db"):
             grid = getattr(self, name)
-            if grid is not None and len(grid) == 0:
+            if grid is None:
+                continue
+            if len(grid) == 0:
                 raise ConfigError(f"grid {name} must be nonempty")
+            if name not in reads:
+                raise ConfigError(f"{self.experiment} does not read grid {name}")
+            if reads[name] is not None and len(grid) > reads[name]:
+                raise ConfigError(
+                    f"{self.experiment} reads at most {reads[name]} value of grid {name}, "
+                    f"got {len(grid)}"
+                )
         if self.m is not None and any(m < 1 for m in self.m):
             raise ConfigError("m grid entries must be positive")
 
@@ -209,7 +219,7 @@ def _recovery_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict
     ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-unit-sphere", ens_seed)
     noise = cfg.noise if np.isfinite(snr_db) else "none"
     data = add_noise(intensities(ens, x), noise, snr_db, noise_seed)
-    rep = solve_constrained(ens, data, SolverOptions(max_iters=cfg.max_iters))
+    rep = solve_constrained(ens, data, max_iters=cfg.max_iters)
     res = recover(rep.X_hat, x_true=x)
     err_deb = rel_mse(x, res.x_hat_debiased)
     return {
@@ -315,23 +325,34 @@ class _Experiment(NamedTuple):
     fields: list[str]
     grid: Callable[[ExperimentConfig], list[dict]]
     trial: Callable[..., dict]
+    grids: dict[str, int | None]  # config grids `grid` reads -> most values it uses (None: all)
     summary: Callable[[list[dict]], dict] | None = None
     trials: int | None = None  # trials per grid point, when fixed rather than cfg.trials
 
 
 _EXPERIMENTS = {
-    "snr-sweep": _Experiment(_RECOVERY_FIELDS, _snr_grid, _recovery_trial, _recovery_summary),
+    "snr-sweep": _Experiment(
+        _RECOVERY_FIELDS, _snr_grid, _recovery_trial, {"m": 1, "snr_db": None}, _recovery_summary
+    ),
     "oversampling-sweep": _Experiment(
-        _RECOVERY_FIELDS, _oversampling_grid, _recovery_trial, _recovery_summary
+        _RECOVERY_FIELDS,
+        _oversampling_grid,
+        _recovery_trial,
+        {"m_over_n": None, "snr_db": 1},
+        _recovery_summary,
     ),
     "phase-transition": _Experiment(
-        _TRANSITION_FIELDS, _transition_grid, _recovery_trial, _recovery_summary
+        _TRANSITION_FIELDS, _transition_grid, _recovery_trial, {"m_over_n": None}, _recovery_summary
     ),
     "certificate-study": _Experiment(
-        _CERTIFICATE_FIELDS, _certificate_grid, _certificate_trial, _certificate_summary
+        _CERTIFICATE_FIELDS,
+        _certificate_grid,
+        _certificate_trial,
+        {"m": None},
+        _certificate_summary,
     ),
-    "rip1-study": _Experiment(_RIP1_FIELDS, _rip1_grid, _rip1_trial, _rip1_summary),
-    "f-curves": _Experiment(_F_CURVE_FIELDS, _f_curve_grid, _f_curve_trial, trials=1),
+    "rip1-study": _Experiment(_RIP1_FIELDS, _rip1_grid, _rip1_trial, {"m": None}, _rip1_summary),
+    "f-curves": _Experiment(_F_CURVE_FIELDS, _f_curve_grid, _f_curve_trial, {}, trials=1),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)

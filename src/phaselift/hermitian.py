@@ -14,16 +14,8 @@ import numpy as np
 REAL = "real"
 COMPLEX = "complex"
 
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central record of the package's numerical tolerances."""
-
-    unit_atol: float = 1e-10  # unit-norm anchors and certificate inputs
-    psd_extraction_rtol: float = 1e-6  # allowed negative eigenvalue leakage
-
-
-TOL = Tolerances()
+#: Allowed deviation from 1 of the norm of a unit anchor or certificate input.
+UNIT_ATOL = 1e-10
 
 
 def field_of(a: np.ndarray) -> str:
@@ -63,10 +55,11 @@ def as_hermitian(A, field: str | None = None) -> np.ndarray:
         raise ValueError("expected a square matrix")
     if field is None:
         field = field_of(A)
-    dtype = np.float64 if field == REAL else np.complex128
+    if field not in (REAL, COMPLEX):
+        raise ValueError(f"unknown field {field!r}")
     if field == REAL and np.iscomplexobj(A):
         raise ValueError("complex entries in a real-field matrix")
-    A = A.astype(dtype, copy=False)
+    A = A.astype(np.float64 if field == REAL else np.complex128, copy=False)
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite entries in matrix")
     return (A + A.conj().T) / 2
@@ -78,10 +71,6 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
 
 
 def _fix_signs(V: np.ndarray) -> np.ndarray:
@@ -119,7 +108,7 @@ def matrix_norms(A: np.ndarray) -> tuple[float, float, float]:
 
 def _check_anchor(x: np.ndarray) -> np.ndarray:
     x = as_signal(x)
-    if abs(np.linalg.norm(x) - 1.0) > TOL.unit_atol:
+    if abs(np.linalg.norm(x) - 1.0) > UNIT_ATOL:
         raise ValueError("tangent-space anchor must be unit-norm")
     return x
 

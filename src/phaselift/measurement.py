@@ -28,7 +28,6 @@ class SensingEnsemble:
 
     vectors: np.ndarray
     model: str
-    seed: int
 
     @property
     def m(self) -> int:
@@ -58,10 +57,6 @@ class IntensityData:
         if np.any(self.b - self.nu < -1e-9 * max(1.0, float(np.abs(self.b).max(initial=0.0)))):
             raise ValueError("clean intensities b - nu must be nonnegative")
 
-    @property
-    def m(self) -> int:
-        return self.b.size
-
 
 def _draw_gaussian(rng: np.random.Generator, m: int, n: int, field: str) -> np.ndarray:
     if field == REAL:
@@ -89,7 +84,7 @@ def sample_ensemble(n: int, m: int, model: str, seed: int) -> SensingEnsemble:
             if np.any(norms == 0.0):
                 raise RuntimeError("zero-norm Gaussian draw twice in a row")
         Z = Z * (radius / norms)[:, None]
-    return SensingEnsemble(vectors=Z, model=model, seed=int(seed))
+    return SensingEnsemble(vectors=Z, model=model)
 
 
 def apply_measurement(ens: SensingEnsemble, X: np.ndarray) -> np.ndarray:

@@ -7,7 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import TOL, EigenDecomposition, as_signal, eig
+from .hermitian import EigenDecomposition, as_signal, eig
+
+#: Most negative eigenvalue, relative to ||X||_F, that rank-1 extraction accepts as leakage.
+PSD_EXTRACTION_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,7 @@ def _top_component(ed: EigenDecomposition) -> tuple[np.ndarray, float]:
     """`extract_rank1` on an existing eigendecomposition."""
     V = ed.eigenvectors
     fro = float(np.linalg.norm(ed.eigenvalues))
-    if ed.eigenvalues[-1] < -TOL.psd_extraction_rtol * max(fro, 1e-300):
+    if ed.eigenvalues[-1] < -PSD_EXTRACTION_RTOL * max(fro, 1e-300):
         raise ValueError("matrix is significantly non-PSD; cannot extract a rank-1 component")
     lam1 = max(float(ed.eigenvalues[0]), 0.0)
     if lam1 == 0.0:

@@ -23,15 +23,8 @@ NOISELESS_EPS_REL = 1e-5
 LAMBDA_REL_TOL = 1e-3
 #: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * max(1, ||X_new||).
 STEP_REL_TOL = 1e-8
-
-
-@dataclass
-class SolverOptions:
-    max_iters: int = 5000
-
-    def __post_init__(self):
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+#: Default cap on FISTA iterations per regularized solve (per probe).
+MAX_ITERS = 5000
 
 
 @dataclass
@@ -42,13 +35,6 @@ class SolveReport:
     residual: float = 0.0
     lambda_used: float = 0.0
     converged: bool = False
-
-    def summary_line(self) -> str:
-        obj = self.objective_trace[-1] if self.objective_trace else float("nan")
-        return (
-            f"iterations={self.iterations} lambda={self.lambda_used!r} "
-            f"residual={self.residual!r} objective={obj!r} converged={self.converged}"
-        )
 
 
 def prox_psd_trace(V: np.ndarray, tau: float) -> np.ndarray:
@@ -86,8 +72,8 @@ def solve_regularized(
     ens: SensingEnsemble,
     b: np.ndarray,
     lam: float,
-    opts: SolverOptions | None = None,
     X0: np.ndarray | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> SolveReport:
     """FISTA with adaptive restart for the trace-regularized problem.
 
@@ -96,10 +82,11 @@ def solve_regularized(
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    if max_iters <= 0:
+        raise ValueError("max_iters must be positive")
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (ens.m,):
         raise ValueError("data length does not match ensemble")
-    opts = opts or SolverOptions()
     step = 1.0 / estimate_lipschitz(ens)
 
     def evaluate(X):
@@ -118,7 +105,7 @@ def solve_regularized(
     trace = [obj]
     converged = False
     iters = 0
-    for k in range(opts.max_iters):
+    for k in range(max_iters):
         iters = k + 1
         X_new, r_new, obj_new = prox_step(Y, rY)
         if not np.isfinite(obj_new):
@@ -161,7 +148,7 @@ def zero_solution_lambda(ens: SensingEnsemble, b: np.ndarray) -> float:
 def solve_constrained(
     ens: SensingEnsemble,
     data: IntensityData,
-    opts: SolverOptions | None = None,
+    max_iters: int = MAX_ITERS,
 ) -> SolveReport:
     """Solve the residual-constrained problem by bisection on lambda.
 
@@ -173,7 +160,6 @@ def solve_constrained(
     meet eps, the minimal-residual iterate is returned with
     converged=False.
     """
-    opts = opts or SolverOptions()
     b = np.asarray(data.b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
     eps = max(float(data.eps), NOISELESS_EPS_REL * b_norm)
@@ -192,7 +178,7 @@ def solve_constrained(
         )
 
     lo = lam_hi * 1e-8
-    rep = solve_regularized(ens, b, lo, opts)
+    rep = solve_regularized(ens, b, lo, max_iters=max_iters)
     if rep.residual > eps or data.eps == 0:
         # eps is infeasibly small for this data, or the data is noiseless
         rep.converged = rep.converged and rep.residual <= eps
@@ -204,7 +190,7 @@ def solve_constrained(
     warm = rep.X_hat
     while hi / lo > 1.0 + LAMBDA_REL_TOL:
         mid = np.sqrt(lo * hi)
-        rep_mid = solve_regularized(ens, b, mid, opts, X0=warm)
+        rep_mid = solve_regularized(ens, b, mid, X0=warm, max_iters=max_iters)
         total_iters += rep_mid.iterations
         warm = rep_mid.X_hat
         if rep_mid.residual <= eps:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phaselift as pl
-from phaselift.solver import SolverOptions, zero_solution_lambda
+from phaselift.solver import zero_solution_lambda
 
 from oracles import gram_lambda_max, phase_grid_rel_mse, plain_proximal_gradient
 
@@ -193,7 +193,7 @@ def test_criterion_9_solver_oracle_equivalence():
         b = pl.intensities(ens, x) + 0.05 * rng.standard_normal(12)
         lam = 0.05 * zero_solution_lambda(ens, b)
         X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / gram_lambda_max(ens), iters=100_000)
-        rep = pl.solve_regularized(ens, b, lam, SolverOptions())
+        rep = pl.solve_regularized(ens, b, lam)
         obj_err = abs(rep.objective_trace[-1] - obj_ref) / max(abs(obj_ref), 1e-300)
         x_err = float(np.linalg.norm(rep.X_hat - X_ref))
         worst_obj, worst_x = max(worst_obj, obj_err), max(worst_x, x_err)

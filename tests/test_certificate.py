@@ -3,9 +3,10 @@ import pytest
 
 from phaselift.certificate import (
     CertificateReport,
-    MeanGramOperator,
     build_certificate,
     check_mean_gram,
+    mean_gram,
+    mean_gram_inverse,
     verify_certificate,
 )
 from phaselift.measurement import SensingEnsemble, apply_adjoint, sample_ensemble
@@ -20,55 +21,47 @@ def random_hermitian(n, field, rng):
 
 class TestMeanGram:
     def test_real_identity_input(self):
-        op = MeanGramOperator("real", 4)
-        assert np.allclose(op.apply(np.eye(4)), 6.0 * np.eye(4))
+        assert np.allclose(mean_gram(np.eye(4), "real"), 6.0 * np.eye(4))
 
     def test_complex_identity_input(self):
-        op = MeanGramOperator("complex", 4)
-        assert np.allclose(op.apply(np.eye(4) + 0j), 5.0 * np.eye(4))
+        assert np.allclose(mean_gram(np.eye(4) + 0j, "complex"), 5.0 * np.eye(4))
 
     def test_real_traceless(self):
-        op = MeanGramOperator("real", 3)
         X = np.diag([1.0, -1.0, 0.0])
-        assert np.allclose(op.apply(X), 2.0 * X)
+        assert np.allclose(mean_gram(X, "real"), 2.0 * X)
 
     def test_complex_traceless_inverse(self):
-        op = MeanGramOperator("complex", 3)
         X = np.diag([1.0, -1.0, 0.0]).astype(complex)
-        assert np.allclose(op.inverse(X), X)
+        assert np.allclose(mean_gram_inverse(X, "complex"), X)
 
     def test_real_hand_inverse(self):
         n = 5
-        op = MeanGramOperator("real", n)
         E = np.zeros((n, n))
         E[0, 0] = 1.0
         expected = 0.5 * (E - np.eye(n) / (n + 2))
-        assert np.allclose(op.inverse(E), expected)
+        assert np.allclose(mean_gram_inverse(E, "real"), expected)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_mutual_inverse(self, field):
         rng = np.random.default_rng(0)
-        op = MeanGramOperator(field, 4)
         for _ in range(50):
             X = random_hermitian(4, field, rng)
-            assert np.abs(op.inverse(op.apply(X)) - X).max() <= 1e-12
-            assert np.abs(op.apply(op.inverse(X)) - X).max() <= 1e-12
+            assert np.abs(mean_gram_inverse(mean_gram(X, field), field) - X).max() <= 1e-12
+            assert np.abs(mean_gram(mean_gram_inverse(X, field), field) - X).max() <= 1e-12
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_self_adjoint(self, field):
         rng = np.random.default_rng(1)
-        op = MeanGramOperator(field, 4)
         for _ in range(20):
             A = random_hermitian(4, field, rng)
             B = random_hermitian(4, field, rng)
-            lhs = np.vdot(op.apply(A), B).real
-            rhs = np.vdot(A, op.apply(B)).real
+            lhs = np.vdot(mean_gram(A, field), B).real
+            rhs = np.vdot(A, mean_gram(B, field)).real
             assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
 
     def test_field_mismatch(self):
-        op = MeanGramOperator("real", 3)
         with pytest.raises(ValueError):
-            op.apply(np.eye(3) + 0j)
+            mean_gram(np.eye(3) + 0j, "real")
 
 
 class TestExpectationCheck:
@@ -87,6 +80,10 @@ class TestExpectationCheck:
     def test_minimum_samples(self):
         with pytest.raises(ValueError):
             check_mean_gram("real", 4, 10, seed=0)
+
+    def test_unknown_field(self):
+        with pytest.raises(ValueError):
+            check_mean_gram("quaternion", 4, 1000, seed=0)
 
 
 class TestBuildCertificate:
@@ -112,7 +109,7 @@ class TestBuildCertificate:
         x[0] = 1.0
         ens = sample_ensemble(6, 50, "real-gaussian", 2)
         Y, _ = build_certificate(ens, x, truncate=False)
-        M = MeanGramOperator("real", 6).inverse(np.outer(x, x))
+        M = mean_gram_inverse(np.outer(x, x), "real")
         w = np.einsum("ij,jk,ik->i", ens.vectors, M, ens.vectors)
         assert np.abs(Y - apply_adjoint(ens, w) / ens.m).max() <= 1e-12
 
@@ -155,7 +152,7 @@ class TestBuildCertificate:
         e1 = np.zeros(n)
         e1[0] = 1.0
         ens = sample_ensemble(n, 200, "real-gaussian", 7)
-        rotated = SensingEnsemble(vectors=ens.vectors @ U, model=ens.model, seed=ens.seed)
+        rotated = SensingEnsemble(vectors=ens.vectors @ U, model=ens.model)
         Y_x, frac_x = build_certificate(ens, U @ e1)
         Y_e1, frac_e1 = build_certificate(rotated, e1)
         assert frac_x == frac_e1

@@ -189,6 +189,20 @@ class TestRecoverySweeps:
         ms = sorted({int(r["m"]) for r in rows})
         assert ms == [32, 64]
 
+    def test_worker_pool_writes_same_bytes(self, tmp_path, monkeypatch):
+        out = tmp_path / "pool.csv"
+        cfg = ExperimentConfig(
+            experiment="phase-transition", n=8, m_over_n=[3, 6], trials=2, seed=6, out=str(out)
+        )
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PHASELIFT_THREADS", threads)
+            run_experiment(cfg)
+            with open(f"{out}.timing.csv") as fh:
+                timing_keys = [(r["experiment"], r["key"], r["trial"]) for r in csv.DictReader(fh)]
+            written.append((out.read_bytes(), timing_keys))
+        assert written[0] == written[1]
+
 
 class TestStudies:
     def test_certificate_study_pass_rate(self, tmp_path):
@@ -314,6 +328,27 @@ class TestCliEntry:
         assert code == 0
         _, rows = read_csv(out)
         assert rows[0]["field"] == "complex"
+
+    @pytest.mark.parametrize(
+        "experiment, flags, grid",
+        [
+            ("snr-sweep", ["--m", "16,32", "--snr-db", "20"], "m"),
+            ("oversampling-sweep", ["--snr-db", "10,30"], "snr_db"),
+            ("phase-transition", ["--m", "16"], "m"),
+            ("phase-transition", ["--snr-db", "20"], "snr_db"),
+            ("f-curves", ["--m", "16"], "m"),
+            ("f-curves", ["--m-over-n", "2"], "m_over_n"),
+            ("f-curves", ["--snr-db", "20"], "snr_db"),
+        ],
+    )
+    def test_grid_the_experiment_would_drop_is_config_error(
+        self, experiment, flags, grid, tmp_path, capsys
+    ):
+        out = tmp_path / "dropped.csv"
+        argv = ["--experiment", experiment, "--n", "4", "--trials", "1", "--mc-samples", "1000"]
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        assert f"grid {grid}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_strict_flags_unconverged_trials(self, tmp_path):
         out = tmp_path / "strict.csv"

@@ -39,7 +39,8 @@ class TestEig:
             A = random_hermitian(5, field, rng)
             ed = eig(A)
             scale = max(1.0, np.linalg.norm(A))
-            assert np.linalg.norm(ed.reconstruct() - A) <= 1e-9 * scale
+            V = ed.eigenvectors
+            assert np.linalg.norm((V * ed.eigenvalues) @ V.conj().T - A) <= 1e-9 * scale
             G = ed.eigenvectors.conj().T @ ed.eigenvectors
             assert np.abs(G - np.eye(5)).max() <= 1e-10
 
@@ -177,3 +178,9 @@ class TestConstructors:
     def test_field_mixing_rejected(self):
         with pytest.raises(ValueError):
             as_signal(np.array([1.0 + 1j, 0.0]), field="real")
+
+    def test_unknown_field_rejected(self):
+        with pytest.raises(ValueError):
+            as_hermitian(np.eye(2), field="quaternion")
+        with pytest.raises(ValueError):
+            as_signal(np.ones(2), field="quaternion")

@@ -60,7 +60,7 @@ class TestOperator:
     def test_hand_quadratic_form(self):
         from phaselift.measurement import SensingEnsemble
 
-        ens = SensingEnsemble(vectors=np.array([[1.0, 1.0]]), model="real-gaussian", seed=0)
+        ens = SensingEnsemble(vectors=np.array([[1.0, 1.0]]), model="real-gaussian")
         out = apply_measurement(ens, np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert out[0] == pytest.approx(6.0)
 
@@ -74,7 +74,7 @@ class TestOperator:
     def test_adjoint_hand_diagonal(self):
         from phaselift.measurement import SensingEnsemble
 
-        ens = SensingEnsemble(vectors=np.eye(2), model="real-gaussian", seed=0)
+        ens = SensingEnsemble(vectors=np.eye(2), model="real-gaussian")
         assert np.allclose(apply_adjoint(ens, np.array([3.0, 4.0])), np.diag([3.0, 4.0]))
 
     @pytest.mark.parametrize("model", ["real-gaussian", "complex-gaussian"])
@@ -112,15 +112,13 @@ class TestIntensities:
     def test_aligned_basis(self):
         from phaselift.measurement import SensingEnsemble
 
-        ens = SensingEnsemble(vectors=np.eye(2)[:1], model="real-unit-sphere", seed=0)
+        ens = SensingEnsemble(vectors=np.eye(2)[:1], model="real-unit-sphere")
         assert intensities(ens, np.array([1.0, 0.0]))[0] == pytest.approx(1.0)
 
     def test_hand_complex(self):
         from phaselift.measurement import SensingEnsemble
 
-        ens = SensingEnsemble(
-            vectors=np.array([[1.0 + 0j, 0.0]]), model="complex-unit-sphere", seed=0
-        )
+        ens = SensingEnsemble(vectors=np.array([[1.0 + 0j, 0.0]]), model="complex-unit-sphere")
         x = np.array([1.0, 1j]) / np.sqrt(2.0)
         assert intensities(ens, x)[0] == pytest.approx(0.5)
 
@@ -193,8 +191,6 @@ class TestDistributionalReductions:
         norms = np.linalg.norm(ens.vectors, axis=1)
         from phaselift.measurement import SensingEnsemble
 
-        unit = SensingEnsemble(
-            vectors=ens.vectors / norms[:, None], model="real-unit-sphere", seed=23
-        )
+        unit = SensingEnsemble(vectors=ens.vectors / norms[:, None], model="real-unit-sphere")
         assert np.allclose(intensities(ens, x) / norms**2, intensities(unit, x))
 
