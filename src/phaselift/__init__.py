@@ -26,7 +26,6 @@ from .certificate import (
 from .hermitian import (
     COMPLEX,
     REAL,
-    EigenDecomposition,
     as_hermitian,
     as_signal,
     eig,
@@ -57,7 +56,6 @@ __all__ = [
     "COMPLEX",
     "REAL",
     "CertificateReport",
-    "EigenDecomposition",
     "IntensityData",
     "L1IsometryReport",
     "RecoveryResult",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import substream
-from .hermitian import COMPLEX, REAL
+from .hermitian import DTYPES
 from .measurement import _draw_gaussian
 
 
@@ -64,7 +64,7 @@ def l1_isometry_check(field: str, n: int, m: int, trials: int, seed: int) -> L1I
     rank-2 floor is a sampled minimum of the l1 mass of uu* - t vv*
     (orthonormal u, v; t uniform in [0, 1]) over its operator norm.
     """
-    if field not in (REAL, COMPLEX):
+    if field not in DTYPES:
         raise ValueError(f"unknown field {field!r}")
     if m < n:
         raise ValueError("need m >= n")

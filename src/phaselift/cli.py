@@ -11,6 +11,8 @@ import argparse
 import sys
 
 from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
+from .hermitian import DTYPES
+from .measurement import NOISE_MODELS
 
 
 def _float_list(text: str) -> list[float]:
@@ -34,8 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--snr-db", type=_float_list, help="comma-separated SNR grid in dB")
-    p.add_argument("--noise", choices=("gaussian", "poisson", "none"))
-    p.add_argument("--field", choices=("real", "complex"))
+    p.add_argument("--noise", choices=NOISE_MODELS)
+    p.add_argument("--field", choices=tuple(DTYPES))
     p.add_argument("--mc-samples", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--max-iters", type=int)

@@ -27,7 +27,7 @@ import numpy as np
 from ._rng import child_seed, substream
 from .analysis import l1_isometry_check, rank2_l1_mc, rank2_l1_mean_complex, rank2_l1_mean_real
 from .certificate import DEFAULT_TRUNCATION_BETA, build_certificate, verify_certificate
-from .hermitian import COMPLEX, REAL
+from .hermitian import COMPLEX, DTYPES, REAL
 from .measurement import NOISE_MODELS, add_noise, intensities, sample_ensemble
 from .recovery import recover, rel_mse
 from .solver import MAX_ITERS, solve_constrained
@@ -61,9 +61,13 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
-        if self.n < 1 or self.trials < 1 or self.mc_samples < 1000 or self.max_iters < 1:
-            raise ConfigError("n, trials, mc_samples and max_iters must be positive")
-        if self.field not in (REAL, COMPLEX):
+        if self.n < 1 or self.trials < 1 or self.max_iters < 1:
+            raise ConfigError("n, trials and max_iters must be positive")
+        if self.mc_samples < 1000:
+            raise ConfigError(f"mc_samples must be at least 1000, got {self.mc_samples}")
+        if not self.beta > 0:
+            raise ConfigError(f"beta must be > 0, got {self.beta}")
+        if self.field not in DTYPES:
             raise ConfigError(f"unknown field {self.field!r}")
         if self.noise not in NOISE_MODELS:
             raise ConfigError(f"unknown noise model {self.noise!r}")
@@ -81,8 +85,11 @@ class ExperimentConfig:
                     f"{self.experiment} reads at most {reads[name]} value of grid {name}, "
                     f"got {len(grid)}"
                 )
-        if self.m is not None and any(m < 1 for m in self.m):
-            raise ConfigError("m grid entries must be positive")
+        for name in ("m", "m_over_n"):
+            if min(getattr(self, name) or [1]) < 1:
+                raise ConfigError(f"grid {name} entries must be positive")
+        if any(np.isnan(s) or np.isneginf(s) for s in self.snr_db or []):
+            raise ConfigError("grid snr_db entries must be finite or inf")
 
     def digest(self) -> str:
         """Hash of every field except `out`, so one config hashes the same at any path."""
@@ -99,7 +106,24 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in raw:
             raise ConfigError("config must name an experiment")
+        for key, value in raw.items():
+            # `experiment` has no default and is checked against "" as a string
+            if _wrong_type(getattr(cls, key, ""), value):
+                raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         return cls(**raw)
+
+
+def _wrong_type(default, value) -> bool:
+    """Whether a JSON value cannot replace `default`; a bool is never a number.
+
+    A float field takes an int or a float, a grid (default None) null or a
+    list of numbers, and any other field a value of its default's type.
+    """
+    if default is None:
+        return value is not None and (
+            type(value) is not list or any(_wrong_type(0.0, v) for v in value)
+        )
+    return type(value) not in ((int, float) if type(default) is float else (type(default),))
 
 
 def _map_trials(fn, args_list):
@@ -266,16 +290,16 @@ def _certificate_grid(cfg: ExperimentConfig) -> list[dict]:
 def _certificate_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     seed = child_seed(cfg.seed, gi, t, 1)
     ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-gaussian", seed)
-    x = np.zeros(cfg.n, dtype=np.float64 if cfg.field == REAL else np.complex128)
+    x = np.zeros(cfg.n, DTYPES[cfg.field])
     x[0] = 1.0
     Y, dropped = build_certificate(ens, x, beta=cfg.beta, truncate=True)
-    rep = verify_certificate(Y, x, truncated_fraction=dropped)
+    rep = verify_certificate(Y, x)
     return {
         "seed": seed,
         "beta": cfg.beta,
         "dist_tangent": rep.dist_tangent,
         "opnorm_complement": rep.opnorm_complement,
-        "truncated_fraction": rep.truncated_fraction,
+        "truncated_fraction": dropped,
         "pass": rep.passed,
     }
 

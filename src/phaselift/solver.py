@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hermitian import REAL, as_hermitian
+from .hermitian import DTYPES, as_hermitian
 from .measurement import IntensityData, SensingEnsemble, apply_adjoint, apply_measurement
 
 #: Residual a noiseless (eps = 0) solve must reach, relative to ||b||, to count as converged.
@@ -96,9 +96,8 @@ def solve_regularized(
     def prox_step(V, rV):
         return evaluate(prox_psd_trace(V - step * apply_adjoint(ens, rV), step * lam))
 
-    dtype = np.float64 if ens.field == REAL else np.complex128
     X, r, obj = evaluate(
-        np.zeros((ens.n, ens.n), dtype=dtype) if X0 is None else as_hermitian(X0).astype(dtype)
+        np.zeros((ens.n, ens.n), DTYPES[ens.field]) if X0 is None else as_hermitian(X0, ens.field)
     )
     Y, rY = X, r
     t = 1.0
@@ -167,9 +166,8 @@ def solve_constrained(
     lam_hi = zero_solution_lambda(ens, b)
     if b_norm <= eps or lam_hi == 0.0:
         # X = 0 is feasible (or optimal for every lambda)
-        dtype = np.float64 if ens.field == REAL else np.complex128
         return SolveReport(
-            X_hat=np.zeros((ens.n, ens.n), dtype=dtype),
+            X_hat=np.zeros((ens.n, ens.n), DTYPES[ens.field]),
             iterations=0,
             objective_trace=[0.5 * b_norm**2],
             residual=b_norm,

@@ -140,8 +140,8 @@ class TestBuildCertificate:
             dists = []
             for seed in range(20):
                 ens = sample_ensemble(n, m_mult * n, "real-gaussian", 1000 * m_mult + seed)
-                Y, frac = build_certificate(ens, x, truncate=False)
-                dists.append(verify_certificate(Y, x, frac).dist_tangent)
+                Y, _ = build_certificate(ens, x, truncate=False)
+                dists.append(verify_certificate(Y, x).dist_tangent)
             medians.append(np.median(dists))
         assert np.all(np.diff(medians) < 0)
 
@@ -156,8 +156,8 @@ class TestBuildCertificate:
         Y_x, frac_x = build_certificate(ens, U @ e1)
         Y_e1, frac_e1 = build_certificate(rotated, e1)
         assert frac_x == frac_e1
-        d_x = verify_certificate(Y_x, U @ e1, frac_x).dist_tangent
-        d_e1 = verify_certificate(Y_e1, e1, frac_e1).dist_tangent
+        d_x = verify_certificate(Y_x, U @ e1).dist_tangent
+        d_e1 = verify_certificate(Y_e1, e1).dist_tangent
         assert d_x == pytest.approx(d_e1, abs=1e-10)
 
     def test_truncated_fraction_shrinks_with_n(self):
@@ -196,10 +196,21 @@ class TestVerify:
         cplx = verify_certificate(np.outer(x, x).astype(complex), x.astype(complex))
         assert real.thresholds == (pytest.approx(1 / 3), 0.5)
         assert cplx.thresholds == (pytest.approx(0.2), 0.5)
+        # a complex Y or x makes the field complex; the report equals the all-complex one
+        rng = np.random.default_rng(10)
+        z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        z /= np.linalg.norm(z)
+        Y_real, Y_cplx = random_hermitian(4, "real", rng), random_hermitian(4, "complex", rng)
+        mixed = [
+            (verify_certificate(Y_real, z), verify_certificate(Y_real.astype(complex), z)),
+            (verify_certificate(Y_cplx, x), verify_certificate(Y_cplx, x.astype(complex))),
+        ]
+        for rep, all_complex in mixed:
+            assert rep == all_complex
+            assert rep.thresholds == cplx.thresholds
 
     def test_report_pass_definition(self):
         rep = CertificateReport(
-            dist_tangent=0.3, opnorm_complement=0.51, truncated_fraction=0.0,
-            thresholds=(1 / 3, 0.5),
+            dist_tangent=0.3, opnorm_complement=0.51, thresholds=(1 / 3, 0.5)
         )
         assert not rep.passed

@@ -48,6 +48,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_file(str(path))
 
+    def test_from_file_rejects_wrong_types(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        ok = {"experiment": "snr-sweep", "beta": 3, "snr_db": [20, 40.5], "m": None}
+        path.write_text(json.dumps(ok))
+        ExperimentConfig.from_file(str(path)).validate()
+        wrong = [
+            ("n", "8"), ("n", 8.0), ("trials", True), ("beta", "3"), ("field", 1),
+            ("snr_db", [20, "inf"]), ("m", 64), ("m_over_n", [True]), ("experiment", 1),
+        ]
+        for key, value in wrong:
+            path.write_text(json.dumps({"experiment": "snr-sweep", key: value}))
+            with pytest.raises(ConfigError, match=key):
+                ExperimentConfig.from_file(str(path))
+        path.write_text(json.dumps({"experiment": "snr-sweep", "n": "8"}))
+        assert main(["--config", str(path)]) == 2
+
     def test_digest_changes_with_config(self):
         a = ExperimentConfig(experiment="f-curves", seed=1)
         b = ExperimentConfig(experiment="f-curves", seed=2)
@@ -348,6 +364,25 @@ class TestCliEntry:
         argv = ["--experiment", experiment, "--n", "4", "--trials", "1", "--mc-samples", "1000"]
         assert main(argv + flags + ["--out", str(out)]) == 2
         assert f"grid {grid}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "experiment, flags, message",
+        [
+            ("phase-transition", ["--m-over-n", "0"], "grid m_over_n"),
+            ("snr-sweep", ["--snr-db", "nan"], "grid snr_db"),
+            ("snr-sweep", ["--snr-db", "20,-inf"], "grid snr_db"),
+            ("certificate-study", ["--beta", "-1"], "beta must be > 0"),
+            ("f-curves", ["--mc-samples", "500"], "at least 1000"),
+        ],
+    )
+    def test_value_that_would_write_wrong_rows_is_config_error(
+        self, experiment, flags, message, tmp_path, capsys
+    ):
+        out = tmp_path / "wrong.csv"
+        argv = ["--experiment", experiment, "--n", "4", "--trials", "1"]
+        assert main(argv + flags + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_strict_flags_unconverged_trials(self, tmp_path):

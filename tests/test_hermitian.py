@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselift.hermitian import (
     as_hermitian,
@@ -20,39 +22,42 @@ def random_hermitian(n, field, rng):
 
 class TestEig:
     def test_diagonal(self):
-        ed = eig(np.diag([3.0, 1.0, -2.0]))
-        assert np.allclose(ed.eigenvalues, [3.0, 1.0, -2.0])
-        assert np.allclose(np.abs(ed.eigenvectors), np.eye(3))
+        w, V = eig(np.diag([3.0, 1.0, -2.0]))
+        assert np.allclose(w, [3.0, 1.0, -2.0])
+        assert np.allclose(np.abs(V), np.eye(3))
 
     def test_hand_solved_2x2(self):
         # characteristic polynomial of [[0,1],[1,0]] gives eigenvalues +-1
-        ed = eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(ed.eigenvalues, [1.0, -1.0])
+        w, V = eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.allclose(w, [1.0, -1.0])
         s = 1.0 / np.sqrt(2.0)
-        assert np.allclose(ed.eigenvectors[:, 0], [s, s])
-        assert np.allclose(ed.eigenvectors[:, 1], [s, -s])
+        assert np.allclose(V[:, 0], [s, s])
+        assert np.allclose(V[:, 1], [s, -s])
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_reconstruction_and_orthonormality(self, field):
         rng = np.random.default_rng(1)
-        for _ in range(10):
-            A = random_hermitian(5, field, rng)
-            ed = eig(A)
-            scale = max(1.0, np.linalg.norm(A))
-            V = ed.eigenvectors
-            assert np.linalg.norm((V * ed.eigenvalues) @ V.conj().T - A) <= 1e-9 * scale
-            G = ed.eigenvectors.conj().T @ ed.eigenvectors
-            assert np.abs(G - np.eye(5)).max() <= 1e-10
+        # sizes above 16 leave numpy's small-array sort
+        for n in (1, 6, 17, 40):
+            for _ in range(10):
+                A = random_hermitian(n, field, rng)
+                w, V = eig(A)
+                scale = max(1.0, np.linalg.norm(A))
+                assert np.all(np.diff(w) <= 0)
+                assert np.linalg.norm((V * w) @ V.conj().T - A) <= 1e-9 * scale
+                G = V.conj().T @ V
+                assert np.abs(G - np.eye(n)).max() <= 1e-10
 
     def test_sign_convention_is_deterministic(self):
         rng = np.random.default_rng(2)
-        A = random_hermitian(6, "complex", rng)
-        ed1, ed2 = eig(A), eig(A.copy())
-        assert np.array_equal(ed1.eigenvectors, ed2.eigenvectors)
-        for k in range(6):
-            col = ed1.eigenvectors[:, k]
-            pivot = col[np.argmax(np.abs(col) > 1e-12)]
-            assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
+        for n in (1, 6, 17, 40):
+            A = random_hermitian(n, "complex", rng)
+            (_, V1), (_, V2) = eig(A), eig(A.copy())
+            assert np.array_equal(V1, V2)
+            for k in range(n):
+                col = V1[:, k]
+                pivot = col[np.argmax(np.abs(col) > 1e-12)]
+                assert pivot.real > 0 and abs(pivot.imag) <= 1e-12 * abs(pivot)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -178,6 +183,33 @@ class TestConstructors:
     def test_field_mixing_rejected(self):
         with pytest.raises(ValueError):
             as_signal(np.array([1.0 + 1j, 0.0]), field="real")
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        n=st.integers(1, 20),
+        seed=st.integers(0, 2**16),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        in_imag=st.booleans(),
+    )
+    def test_field_dtype_and_rejections(self, field, n, seed, bad, in_imag):
+        rng = np.random.default_rng(seed)
+        dtype = np.float64 if field == "real" else np.complex128
+        A = random_hermitian(n, field, rng)
+        x = A[0].copy()
+        for check, a in ((as_signal, x), (as_hermitian, A)):
+            assert check(a).dtype == dtype and check(a, field=field).dtype == dtype
+            with pytest.raises(ValueError):
+                check(a.astype(complex), field="real")
+            # one non-finite entry, in the real or the imaginary part
+            a = a.astype(complex) if in_imag else a.copy()
+            flat = a.reshape(-1)
+            k = int(rng.integers(flat.size))
+            flat[k] = complex(flat[k].real, bad) if in_imag else bad
+            with pytest.raises(ValueError):
+                check(a)
+            with pytest.raises(ValueError):
+                check(a, field="complex")
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
