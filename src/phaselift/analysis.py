@@ -66,6 +66,8 @@ def l1_isometry_check(field: str, n: int, m: int, trials: int, seed: int) -> L1I
     """
     if field not in DTYPES:
         raise ValueError(f"unknown field {field!r}")
+    if n < 2:
+        raise ValueError("the rank-2 check needs n >= 2")
     if m < n:
         raise ValueError("need m >= n")
     if trials < 1:

@@ -51,21 +51,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("config", "strict") and v is not None
-    }
+    """The config file's values (if any) with every given flag on top, checked as one."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("config", "strict") and v is not None}
     if args.config:
-        cfg = ExperimentConfig.from_file(args.config)
-        for k, v in overrides.items():
-            setattr(cfg, k, v)
-    else:
-        if "experiment" not in overrides:
-            raise ConfigError("either --config or --experiment is required")
-        cfg = ExperimentConfig(**overrides)
-    cfg.validate()
-    return cfg
+        return ExperimentConfig.from_file(args.config, **flags)
+    return ExperimentConfig.from_dict(flags)
 
 
 def main(argv: list[str] | None = None) -> int:

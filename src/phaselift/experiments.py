@@ -1,11 +1,11 @@
 """Batch experiments emitting deterministic CSV, all through one grid driver.
 
 Every experiment is a grid of points, k seeded trials per point and at
-most one summary row per point; it declares only its grid, its trial
-function and its summary function, and `run_grid` does the rest.  Each
-trial draws from its own substream keyed by (seed, grid index, trial),
-trials run in a worker pool, and rows are written in grid order, so
-re-runs produce byte-identical CSVs.  A summary row covers only the
+most one summary row per point; it declares only its default axes, its
+trial and summary functions, and `run_grid` does the rest.  Each trial
+draws from its own substream keyed by (seed, grid index, trial), trials
+run in a worker pool, and rows are written in grid order, so re-runs
+produce byte-identical CSVs.  A summary row covers only the
 trial rows directly above it.  Wall-clock timings go to a sidecar file
 (<out>.timing.csv) to keep the main CSV reproducible.
 """
@@ -71,25 +71,24 @@ class ExperimentConfig:
             raise ConfigError(f"unknown field {self.field!r}")
         if self.noise not in NOISE_MODELS:
             raise ConfigError(f"unknown noise model {self.noise!r}")
-        reads = _EXPERIMENTS[self.experiment].grids
-        for name in ("m", "m_over_n", "snr_db"):
+        spec = _EXPERIMENTS[self.experiment]
+        for name, axis in {"m": spec.ratios, "m_over_n": spec.ratios, "snr_db": spec.snrs}.items():
             grid = getattr(self, name)
-            if grid is None:
-                continue
-            if len(grid) == 0:
-                raise ConfigError(f"grid {name} must be nonempty")
-            if name not in reads:
+            if grid is not None and axis is None:
                 raise ConfigError(f"{self.experiment} does not read grid {name}")
-            if reads[name] is not None and len(grid) > reads[name]:
-                raise ConfigError(
-                    f"{self.experiment} reads at most {reads[name]} value of grid {name}, "
-                    f"got {len(grid)}"
-                )
-        for name in ("m", "m_over_n"):
-            if min(getattr(self, name) or [1]) < 1:
+            if grid is not None and len(grid) == 0:
+                raise ConfigError(f"grid {name} must be nonempty")
+            if name != "snr_db" and min(grid or [1]) < 1:
                 raise ConfigError(f"grid {name} entries must be positive")
-        if any(np.isnan(s) or np.isneginf(s) for s in self.snr_db or []):
+        if self.m is not None and self.m_over_n is not None:
+            raise ConfigError("give grid m or grid m_over_n, not both")
+        snrs = self.snr_db or spec.snrs or ()
+        if any(np.isnan(s) or np.isneginf(s) for s in snrs):
             raise ConfigError("grid snr_db entries must be finite or inf")
+        if self.noise == "none" and any(np.isfinite(snrs)):
+            raise ConfigError("noise none with a finite snr_db mislabels rows; use --snr-db inf")
+        if self.n < 2 and self.experiment in ("certificate-study", "rip1-study"):
+            raise ConfigError(f"{self.experiment} needs n >= 2, got n={self.n}")
 
     def digest(self) -> str:
         """Hash of every field except `out`, so one config hashes the same at any path."""
@@ -98,19 +97,26 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            raw = json.load(fh)
-        unknown = set(raw) - {f for f in cls.__dataclass_fields__}
+    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        """Check config values (a file's, a command line's or both) and build the config."""
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in raw:
-            raise ConfigError("config must name an experiment")
+            raise ConfigError("an experiment is required (--experiment or a config file's)")
         for key, value in raw.items():
             # `experiment` has no default and is checked against "" as a string
             if _wrong_type(getattr(cls, key, ""), value):
                 raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
-        return cls(**raw)
+        cfg = cls(**raw)
+        cfg.validate()
+        return cfg
+
+    @classmethod
+    def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
+        """The JSON file's values with `overrides` on top, checked by `from_dict`."""
+        with open(path) as fh:
+            return cls.from_dict({**json.load(fh), **overrides})
 
 
 def _wrong_type(default, value) -> bool:
@@ -218,20 +224,6 @@ _RECOVERY_FIELDS = (
 _TRANSITION_FIELDS = _RECOVERY_FIELDS + ["success", "success_rate"]
 
 
-def _snr_grid(cfg: ExperimentConfig) -> list[dict]:
-    m = cfg.m[0] if cfg.m else 6 * cfg.n
-    return [{"m": m, "snr": float(s)} for s in cfg.snr_db or [5.0, 25.0, 50.0, 75.0, 100.0]]
-
-
-def _oversampling_grid(cfg: ExperimentConfig) -> list[dict]:
-    snr = float(cfg.snr_db[0]) if cfg.snr_db else 15.0
-    return [{"m": int(r * cfg.n), "snr": snr} for r in cfg.m_over_n or [5, 6, 8, 10, 14, 18, 22]]
-
-
-def _transition_grid(cfg: ExperimentConfig) -> list[dict]:
-    return [{"m": int(r * cfg.n), "snr": float("inf")} for r in cfg.m_over_n or [1, 2, 3, 4, 5, 6]]
-
-
 def _recovery_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     """One end-to-end trial: signal, ensemble, noise, solve, extract."""
     snr_db = point["snr"]
@@ -283,10 +275,6 @@ _RIP1_FIELDS = _STUDY_FIELDS + ["delta_observed", "rank2_min_ratio"]
 _F_CURVE_FIELDS = ["experiment", "row_type", "field", "t", "f_closed", "mc_mean", "mc_stderr"]
 
 
-def _certificate_grid(cfg: ExperimentConfig) -> list[dict]:
-    return [{"m": m} for m in cfg.m or [2 * cfg.n, 8 * cfg.n, 32 * cfg.n]]
-
-
 def _certificate_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     seed = child_seed(cfg.seed, gi, t, 1)
     ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-gaussian", seed)
@@ -313,10 +301,6 @@ def _certificate_summary(block: list[dict]) -> dict:
     }
 
 
-def _rip1_grid(cfg: ExperimentConfig) -> list[dict]:
-    return [{"m": m} for m in sorted(cfg.m or [4 * cfg.n, 16 * cfg.n, 64 * cfg.n])]
-
-
 def _rip1_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     seed = child_seed(cfg.seed, gi, t, 1)
     rep = l1_isometry_check(cfg.field, cfg.n, point["m"], trials=100, seed=seed)
@@ -334,10 +318,6 @@ def _rip1_summary(block: list[dict]) -> dict:
     }
 
 
-def _f_curve_grid(cfg: ExperimentConfig) -> list[dict]:
-    return [{"t": float(t)} for t in np.linspace(0.0, 1.0, 101)]
-
-
 def _f_curve_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     closed = rank2_l1_mean_real if cfg.field == REAL else rank2_l1_mean_complex
     seed = child_seed(cfg.seed, gi, t, 1)
@@ -347,46 +327,52 @@ def _f_curve_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
 
 class _Experiment(NamedTuple):
     fields: list[str]
-    grid: Callable[[ExperimentConfig], list[dict]]
     trial: Callable[..., dict]
-    grids: dict[str, int | None]  # config grids `grid` reads -> most values it uses (None: all)
-    summary: Callable[[list[dict]], dict] | None = None
+    summary: Callable[[list[dict]], dict] | None
+    ratios: tuple[int, ...] | None  # default m/n axis; None: the t grid of f-curves
+    snrs: tuple[float, ...] | None = None  # default SNR axis in dB; None: no SNR axis
     trials: int | None = None  # trials per grid point, when fixed rather than cfg.trials
 
 
 _EXPERIMENTS = {
     "snr-sweep": _Experiment(
-        _RECOVERY_FIELDS, _snr_grid, _recovery_trial, {"m": 1, "snr_db": None}, _recovery_summary
+        _RECOVERY_FIELDS, _recovery_trial, _recovery_summary, (6,), (5, 25, 50, 75, 100)
     ),
     "oversampling-sweep": _Experiment(
-        _RECOVERY_FIELDS,
-        _oversampling_grid,
-        _recovery_trial,
-        {"m_over_n": None, "snr_db": 1},
-        _recovery_summary,
+        _RECOVERY_FIELDS, _recovery_trial, _recovery_summary, (5, 6, 8, 10, 14, 18, 22), (15,)
     ),
     "phase-transition": _Experiment(
-        _TRANSITION_FIELDS, _transition_grid, _recovery_trial, {"m_over_n": None}, _recovery_summary
+        _TRANSITION_FIELDS, _recovery_trial, _recovery_summary, (1, 2, 3, 4, 5, 6), (np.inf,)
     ),
     "certificate-study": _Experiment(
-        _CERTIFICATE_FIELDS,
-        _certificate_grid,
-        _certificate_trial,
-        {"m": None},
-        _certificate_summary,
+        _CERTIFICATE_FIELDS, _certificate_trial, _certificate_summary, (2, 8, 32)
     ),
-    "rip1-study": _Experiment(_RIP1_FIELDS, _rip1_grid, _rip1_trial, {"m": None}, _rip1_summary),
-    "f-curves": _Experiment(_F_CURVE_FIELDS, _f_curve_grid, _f_curve_trial, {}, trials=1),
+    "rip1-study": _Experiment(_RIP1_FIELDS, _rip1_trial, _rip1_summary, (4, 16, 64)),
+    "f-curves": _Experiment(_F_CURVE_FIELDS, _f_curve_trial, None, None, trials=1),
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
+
+
+def _points(cfg: ExperimentConfig, spec: _Experiment) -> list[dict]:
+    """Every m paired with every SNR the experiment reads, each axis ascending.
+
+    m is `cfg.m`, else `cfg.m_over_n` or the default ratios times n; the
+    SNRs are `cfg.snr_db` or the defaults.
+    """
+    if spec.ratios is None:
+        return [{"t": float(t)} for t in np.linspace(0.0, 1.0, 101)]
+    ms = sorted(cfg.m or [int(r * cfg.n) for r in cfg.m_over_n or spec.ratios])
+    if spec.snrs is None:
+        return [{"m": m} for m in ms]
+    return [{"m": m, "snr": s} for m in ms for s in sorted(map(float, cfg.snr_db or spec.snrs))]
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Run an experiment, write its CSV (+ timing sidecar), return #failed trials."""
     cfg.validate()
     spec = _EXPERIMENTS[cfg.experiment]
-    rows, timings = run_grid(cfg, spec.grid(cfg), spec.trial, spec.summary, spec.trials)
+    rows, timings = run_grid(cfg, _points(cfg, spec), spec.trial, spec.summary, spec.trials)
     write_csv(cfg.out, cfg, spec.fields, rows)
     _write_timing(cfg.out, timings)
     return sum(1 for r in rows if r["row_type"] == "trial" and r.get("converged") is False)

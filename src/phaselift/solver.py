@@ -161,7 +161,7 @@ def solve_constrained(
     """
     b = np.asarray(data.b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
-    eps = max(float(data.eps), NOISELESS_EPS_REL * b_norm)
+    eps = float(data.eps) or NOISELESS_EPS_REL * b_norm  # the floor is for noiseless data
 
     lam_hi = zero_solution_lambda(ens, b)
     if b_norm <= eps or lam_hi == 0.0:

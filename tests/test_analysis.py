@@ -106,3 +106,8 @@ class TestL1Isometry:
     def test_requires_m_at_least_n(self):
         with pytest.raises(ValueError):
             l1_isometry_check("real", 16, 8, trials=1, seed=0)
+
+    def test_requires_n_at_least_two(self):
+        # the rank-2 floor draws two orthonormal directions
+        with pytest.raises(ValueError, match="n >= 2"):
+            l1_isometry_check("real", 1, 8, trials=1, seed=0)

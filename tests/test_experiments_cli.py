@@ -348,10 +348,8 @@ class TestCliEntry:
     @pytest.mark.parametrize(
         "experiment, flags, grid",
         [
-            ("snr-sweep", ["--m", "16,32", "--snr-db", "20"], "m"),
-            ("oversampling-sweep", ["--snr-db", "10,30"], "snr_db"),
-            ("phase-transition", ["--m", "16"], "m"),
-            ("phase-transition", ["--snr-db", "20"], "snr_db"),
+            ("certificate-study", ["--snr-db", "20"], "snr_db"),
+            ("rip1-study", ["--snr-db", "20"], "snr_db"),
             ("f-curves", ["--m", "16"], "m"),
             ("f-curves", ["--m-over-n", "2"], "m_over_n"),
             ("f-curves", ["--snr-db", "20"], "snr_db"),
@@ -374,6 +372,9 @@ class TestCliEntry:
             ("snr-sweep", ["--snr-db", "20,-inf"], "grid snr_db"),
             ("certificate-study", ["--beta", "-1"], "beta must be > 0"),
             ("f-curves", ["--mc-samples", "500"], "at least 1000"),
+            ("certificate-study", ["--n", "1"], "n >= 2"),
+            ("rip1-study", ["--n", "1"], "n >= 2"),
+            ("snr-sweep", ["--snr-db", "20", "--noise", "none"], "--snr-db inf"),
         ],
     )
     def test_value_that_would_write_wrong_rows_is_config_error(
@@ -384,6 +385,38 @@ class TestCliEntry:
         assert main(argv + flags + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_m_and_m_over_n_together_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "both.csv"
+        argv = ["--experiment", "snr-sweep", "--n", "4", "--trials", "1", "--out", str(out)]
+        assert main(argv + ["--m", "16", "--m-over-n", "2"]) == 2
+        # the config file's grid and the flag's grid meet in one checked dict
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "snr-sweep", "m": [16]}))
+        assert main(["--config", str(cfg_path), "--m-over-n", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("grid m_over_n") == 2
+        assert not out.exists()
+
+    def test_grid_is_product_of_ascending_axes(self, tmp_path):
+        out = tmp_path / "product.csv"
+        argv = ["--experiment", "snr-sweep", "--n", "4", "--trials", "1", "--out", str(out)]
+        assert main(argv + ["--m", "24,16", "--snr-db", "inf,20"]) == 0
+        _, rows = read_csv(out)
+        points = [(int(r["m"]), float(r["snr_db"])) for r in rows]
+        inf = float("inf")
+        assert points == [p for p in [(16, 20.0), (16, inf), (24, 20.0), (24, inf)] for _ in (0, 1)]
+        assert [r["row_type"] for r in rows] == ["trial", "summary"] * 4
+
+    def test_grid_order_does_not_change_rows(self, tmp_path):
+        bodies = []
+        for grid in ("128,32", "32,128"):
+            out = tmp_path / f"cert-{grid}.csv"
+            argv = ["--experiment", "certificate-study", "--field", "real", "--n", "16"]
+            assert main(argv + ["--m", grid, "--trials", "2", "--seed", "8", "--out", str(out)]) == 0
+            # the `# config=` echo keeps the grid as given
+            bodies.append([line for line in out.read_text().splitlines() if line[0] != "#"])
+        assert bodies[0] == bodies[1]
+        assert [line.split(",")[3] for line in bodies[0][1:]] == ["32"] * 3 + ["128"] * 3
 
     def test_strict_flags_unconverged_trials(self, tmp_path):
         out = tmp_path / "strict.csv"

@@ -235,10 +235,13 @@ class TestConstrained:
         ens = sample_ensemble(8, 48, "complex-unit-sphere", seed=12)
         rng = np.random.default_rng(9)
         x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        data = add_noise(intensities(ens, x), "gaussian", 30.0, seed=13)
-        rep = solve_constrained(ens, data)
-        if rep.converged:
-            assert rep.residual <= data.eps * (1 + 1e-6)
+        # at 120 dB, eps lies below the noiseless floor of 1e-5 * ||b||, which must not apply
+        for snr_db, must_converge in ((30.0, False), (120.0, True)):
+            data = add_noise(intensities(ens, x), "gaussian", snr_db, seed=13)
+            rep = solve_constrained(ens, data)
+            assert rep.converged or not must_converge
+            if rep.converged:
+                assert rep.residual <= data.eps * (1 + 1e-6)
 
     def test_noisy_error_tracks_eps(self):
         # stability constant at this size stays below the acceptance bound of 10
