@@ -106,7 +106,7 @@ class ExperimentConfig:
             raise ConfigError("an experiment is required (--experiment or a config file's)")
         for key, value in raw.items():
             # `experiment` has no default and is checked against "" as a string
-            if _wrong_type(getattr(cls, key, ""), value):
+            if _wrong_type(getattr(cls, key, ""), value, 0.0 if key == "snr_db" else 0):
                 raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         cfg = cls(**raw)
         cfg.validate()
@@ -116,18 +116,22 @@ class ExperimentConfig:
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         """The JSON file's values with `overrides` on top, checked by `from_dict`."""
         with open(path) as fh:
-            return cls.from_dict({**json.load(fh), **overrides})
+            raw = json.load(fh)
+        if type(raw) is not dict:
+            raise ConfigError(f"config file {path} must hold a JSON object, not {type(raw).__name__}")
+        return cls.from_dict({**raw, **overrides})
 
 
-def _wrong_type(default, value) -> bool:
+def _wrong_type(default, value, item=0.0) -> bool:
     """Whether a JSON value cannot replace `default`; a bool is never a number.
 
     A float field takes an int or a float, a grid (default None) null or a
-    list of numbers, and any other field a value of its default's type.
+    list of values that could replace `item` (ints for the m grids), and any
+    other field a value of its default's type.
     """
     if default is None:
         return value is not None and (
-            type(value) is not list or any(_wrong_type(0.0, v) for v in value)
+            type(value) is not list or any(_wrong_type(item, v) for v in value)
         )
     return type(value) not in ((int, float) if type(default) is float else (type(default),))
 

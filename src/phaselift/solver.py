@@ -2,10 +2,11 @@
 
 Accelerated proximal gradient (with adaptive restart) for
 
-    minimize  0.5 * ||A(X) - b||^2 + lam * Tr(X)   s.t.  X >= 0,
+    minimize  0.5 * ||A(X) - b||^2 + lam * Tr(X)   s.t.  X >= 0,  Tr(X) <= tau,
 
-plus a bisection wrapper that finds the largest lam whose solution
-satisfies the residual constraint ||A(X) - b||_2 <= eps.
+plus Newton root finding on the Pareto curve phi(tau) = min ||A(X) - b|| over
+{X >= 0, Tr X <= tau} for min Tr X s.t. ||A(X) - b||_2 <= eps (van den Berg &
+Friedlander, "Probing the Pareto frontier", SIAM J. Sci. Comput. 2008).
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from .measurement import IntensityData, SensingEnsemble, apply_adjoint, apply_me
 
 #: Residual a noiseless (eps = 0) solve must reach, relative to ||b||, to count as converged.
 NOISELESS_EPS_REL = 1e-5
-#: Relative width of the final lambda bracket in the bisection.
-LAMBDA_REL_TOL = 1e-3
-#: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * max(1, ||X_new||).
+#: Newton aims at phi = (1 - EPS_REL_TOL) * eps and stops if a probe gains < EPS_REL_TOL * eps.
+EPS_REL_TOL = 1e-3
+#: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * ||X_new||.
 STEP_REL_TOL = 1e-8
+#: Under a finite trace cap FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2.
+GAP_REL_TOL, GAP_EVERY = 1e-4, 10
 #: Default cap on FISTA iterations per regularized solve (per probe).
 MAX_ITERS = 5000
 
@@ -37,13 +40,19 @@ class SolveReport:
     converged: bool = False
 
 
-def prox_psd_trace(V: np.ndarray, tau: float) -> np.ndarray:
-    """Prox of tau*Tr(.) restricted to the PSD cone: shrink eigenvalues by tau, clip at 0."""
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf) -> np.ndarray:
+    """Prox of shift*Tr(.) over {X >= 0, Tr X <= cap}: shrink eigenvalues by shift, clip
+    at 0, and past cap shift them by the theta of the simplex projection {w >= 0, sum w = cap}."""
+    if shift < 0 or not cap >= 0:
+        raise ValueError("shift and cap must be nonnegative")
     V = as_hermitian(V)
     w, U = np.linalg.eigh(V)  # sign convention irrelevant: only U w U* is used
-    w = np.maximum(w - tau, 0.0)
+    w = np.maximum(w - shift, 0.0)
+    if w.sum() > cap:
+        u = np.sort(w)[::-1]
+        excess = (np.cumsum(u) - cap) / np.arange(1, u.size + 1)
+        w = np.maximum(w - excess[np.nonzero(u >= excess)[0][-1]], 0.0)
+        w *= cap / max(w.sum(), np.finfo(float).tiny)  # undo the round-off of theta - u
     pos = w > 0
     if not np.any(pos):
         return np.zeros_like(V)
@@ -74,14 +83,17 @@ def solve_regularized(
     lam: float,
     X0: np.ndarray | None = None,
     max_iters: int = MAX_ITERS,
+    tau: float = np.inf,
 ) -> SolveReport:
-    """FISTA with adaptive restart for the trace-regularized problem.
+    """FISTA with adaptive restart for the trace-regularized problem, Tr X capped at tau.
 
     The residuals r = A(X) - b and rY = A(Y) - b travel with the iterates;
     rY follows from r by linearity, so each prox step costs one forward map.
+    A finite tau adds the `_duality_gap` stop, checked every GAP_EVERY iterations,
+    on the step rule and at max_iters; lambda_used is then its multiplier.
     """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if lam < 0 or not tau >= 0:
+        raise ValueError("lambda and tau must be nonnegative")
     if max_iters <= 0:
         raise ValueError("max_iters must be positive")
     b = np.asarray(b, dtype=np.float64)
@@ -94,7 +106,7 @@ def solve_regularized(
         return X, r, 0.5 * float(r @ r) + lam * float(np.trace(X).real)
 
     def prox_step(V, rV):
-        return evaluate(prox_psd_trace(V - step * apply_adjoint(ens, rV), step * lam))
+        return evaluate(prox_psd_trace(V - step * apply_adjoint(ens, rV), step * lam, tau))
 
     X, r, obj = evaluate(
         np.zeros((ens.n, ens.n), DTYPES[ens.field]) if X0 is None else as_hermitian(X0, ens.field)
@@ -104,6 +116,7 @@ def solve_regularized(
     trace = [obj]
     converged = False
     iters = 0
+    lam_used = lam
     for k in range(max_iters):
         iters = k + 1
         X_new, r_new, obj_new = prox_step(Y, rY)
@@ -119,8 +132,11 @@ def solve_regularized(
         dX = X_new - X
         Y = X_new + beta * dX
         rY = r_new + beta * (r_new - r)
-        step_small = np.linalg.norm(dX) <= STEP_REL_TOL * max(1.0, np.linalg.norm(X_new))
+        step_small = np.linalg.norm(dX) <= STEP_REL_TOL * np.linalg.norm(X_new)
         X, r, t, obj = X_new, r_new, t_new, obj_new
+        if tau < np.inf and (step_small or iters % GAP_EVERY == 0 or iters == max_iters):
+            gap, lam_used = _duality_gap(ens, b, X, r, lam, tau)
+            step_small = step_small or gap <= GAP_REL_TOL * float(r @ r)
         if step_small:
             converged = True
             break
@@ -129,9 +145,17 @@ def solve_regularized(
         iterations=iters,
         objective_trace=trace,
         residual=float(np.linalg.norm(r)),
-        lambda_used=float(lam),
+        lambda_used=float(lam_used),
         converged=converged,
     )
+
+
+def _duality_gap(ens, b, X, r, lam, tau):
+    """Frank-Wolfe gap of X over {X >= 0, Tr X <= tau}, which bounds the objective's excess
+    over its minimum, and the lambda-form multiplier max(lam, lambda_max(A*(-r))) (>= 0)."""
+    mu = max(0.0, float(np.linalg.eigvalsh(apply_adjoint(ens, -r))[-1]))
+    gap = float(r @ (r + b)) + lam * float(np.trace(X).real) + tau * max(0.0, mu - lam)
+    return gap, max(lam, mu)
 
 
 def zero_solution_lambda(ens: SensingEnsemble, b: np.ndarray) -> float:
@@ -149,15 +173,15 @@ def solve_constrained(
     data: IntensityData,
     max_iters: int = MAX_ITERS,
 ) -> SolveReport:
-    """Solve the residual-constrained problem by bisection on lambda.
+    """Solve min Tr X s.t. ||A(X) - b|| <= eps, X >= 0, by Newton steps on the Pareto curve.
 
-    Finds the largest lambda whose regularized solution has residual at
-    most eps (warm-starting each probe).  Noiseless data (eps = 0) is
-    solved by the first, smallest-lambda probe alone; it counts as
-    converged when FISTA's step rule was met and the residual is at most
-    NOISELESS_EPS_REL * ||b||.  If even the smallest probed lambda cannot
-    meet eps, the minimal-residual iterate is returned with
-    converged=False.
+    From tau = 0, each warm-started probe sits where the tangent of phi, of slope
+    -lambda / phi, meets (1 - EPS_REL_TOL) * eps; phi is convex, so tau never
+    overshoots.  The first probe with residual <= eps is returned, converged if
+    its stop rule was met; a probe with multiplier 0 or a gain in phi below
+    EPS_REL_TOL * eps comes back with converged=False.  Noiseless data (eps = 0)
+    is one lambda-form probe at 1e-8 * lambda_max(A*(b)), converged when FISTA's
+    step rule was met and the residual is at most NOISELESS_EPS_REL * ||b||.
     """
     b = np.asarray(data.b, dtype=np.float64)
     b_norm = float(np.linalg.norm(b))
@@ -174,26 +198,20 @@ def solve_constrained(
             lambda_used=lam_hi,
             converged=True,
         )
-
-    lo = lam_hi * 1e-8
-    rep = solve_regularized(ens, b, lo, max_iters=max_iters)
-    if rep.residual > eps or data.eps == 0:
-        # eps is infeasibly small for this data, or the data is noiseless
+    if data.eps == 0:
+        rep = solve_regularized(ens, b, lam_hi * 1e-8, max_iters=max_iters)
         rep.converged = rep.converged and rep.residual <= eps
         return rep
 
-    # each probe halves log(hi / lo) from ln(1e8), so the loop ends after 15 probes
-    rep_lo, hi = rep, lam_hi
-    total_iters = rep.iterations
-    warm = rep.X_hat
-    while hi / lo > 1.0 + LAMBDA_REL_TOL:
-        mid = np.sqrt(lo * hi)
-        rep_mid = solve_regularized(ens, b, mid, X0=warm, max_iters=max_iters)
-        total_iters += rep_mid.iterations
-        warm = rep_mid.X_hat
-        if rep_mid.residual <= eps:
-            lo, rep_lo = mid, rep_mid
-        else:
-            hi = mid
-    rep_lo.iterations = total_iters
-    return rep_lo
+    tau, phi, lam, warm, total_iters = 0.0, b_norm, lam_hi, None, 0
+    while True:
+        tau += (phi - eps * (1.0 - EPS_REL_TOL)) * phi / lam
+        rep = solve_regularized(ens, b, 0.0, X0=warm, max_iters=max_iters, tau=tau)
+        total_iters += rep.iterations
+        stalled = rep.lambda_used == 0.0 or phi - rep.residual < EPS_REL_TOL * eps
+        if rep.residual <= eps or stalled:
+            break
+        phi, lam, warm = rep.residual, rep.lambda_used, rep.X_hat
+    rep.converged = rep.converged and rep.residual <= eps
+    rep.iterations = total_iters
+    return rep

@@ -18,6 +18,25 @@ def plain_proximal_gradient(ens, b, lam, step, iters):
     return X, obj
 
 
+def capped_prox(V, shift, cap=np.inf, bisections=200):
+    """Eigenvalue prox over {X >= 0, Tr X <= cap}: shrink by shift, clip at 0, and past cap
+    shift further by the theta that bisection finds for sum max(w - theta, 0) = cap."""
+    w, U = np.linalg.eigh((V + V.conj().T) / 2)
+    w = np.maximum(w - shift, 0.0)
+    if w.sum() > cap:
+        lo, hi = 0.0, float(w.max())
+        for _ in range(bisections):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if np.maximum(w - mid, 0.0).sum() > cap else (lo, mid)
+        w = np.maximum(w - hi, 0.0)
+    pos = w > 0
+    if not np.any(pos):
+        return np.zeros_like(V)
+    U = U[:, pos]
+    X = (U * w[pos]) @ U.conj().T
+    return (X + X.conj().T) / 2
+
+
 def gram_lambda_max(ens):
     """||A*A|| as the top eigenvalue of the dense Gram matrix G_ij = |<z_i, z_j>|^2."""
     Z = ens.vectors

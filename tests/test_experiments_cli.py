@@ -64,6 +64,33 @@ class TestConfig:
         path.write_text(json.dumps({"experiment": "snr-sweep", "n": "8"}))
         assert main(["--config", str(path)]) == 2
 
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(["experiment"]))
+        with pytest.raises(ConfigError, match="JSON object"):
+            ExperimentConfig.from_file(str(path))
+        assert main(["--config", str(path)]) == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "experiment, key, value",
+        [
+            ("certificate-study", "m", [16.5]),
+            ("certificate-study", "m", [16.0]),
+            ("phase-transition", "m_over_n", [2.5]),
+            ("phase-transition", "m_over_n", [2, False]),
+        ],
+    )
+    def test_m_grids_must_hold_ints(self, experiment, key, value, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "out.csv"
+        path.write_text(json.dumps({"experiment": experiment, "n": 4, "trials": 1, key: value}))
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_file(str(path))
+        assert main(["--config", str(path), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
     def test_digest_changes_with_config(self):
         a = ExperimentConfig(experiment="f-curves", seed=1)
         b = ExperimentConfig(experiment="f-curves", seed=2)
@@ -124,6 +151,18 @@ class TestRecoverySweeps:
         trial = [r for r in rows if r["row_type"] == "trial"][0]
         assert float(trial["rel_mse"]) <= 1e-6
         assert trial["noise"] == "none"
+
+    def test_high_snr_solves_meet_eps(self, tmp_path):
+        # eps at 160 dB is ~1e-8 * ||b||; the Newton probes reach it with a met stop rule
+        out = tmp_path / "s160.csv"
+        argv = ["--experiment", "snr-sweep", "--n", "8", "--trials", "2", "--snr-db", "160"]
+        assert main(argv + ["--seed", "5", "--out", str(out), "--strict"]) == 0
+        _, rows = read_csv(out)
+        trials = [r for r in rows if r["row_type"] == "trial"]
+        assert len(trials) == 2
+        for r in trials:
+            assert r["converged"] == "1"
+            assert float(r["residual"]) <= float(r["eps"])
 
     def test_summary_consistent_with_trials(self, tmp_path):
         out = tmp_path / "snr2.csv"

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,29 @@ from phaselift.solver import (
     zero_solution_lambda,
 )
 
-from oracles import gram_lambda_max, plain_proximal_gradient
+from oracles import capped_prox, gram_lambda_max, plain_proximal_gradient
+
+
+def _random_hermitian(rng, n, field):
+    V = rng.standard_normal((n, n))
+    if field == "complex":
+        V = V + 1j * rng.standard_normal((n, n))
+    return (V + V.conj().T) / 2
+
+
+def _count_probes(monkeypatch):
+    """Record every solve_regularized call made through the solver module."""
+    import phaselift.solver as solver
+
+    probes = []
+    original = solver.solve_regularized
+
+    def counted(*args, **kwargs):
+        probes.append(kwargs.get("tau"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_regularized", counted)
+    return probes
 
 
 class TestProx:
@@ -38,6 +62,11 @@ class TestProx:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             prox_psd_trace(np.eye(2), -0.1)
+
+    def test_negative_or_nan_cap_rejected(self):
+        for cap in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                prox_psd_trace(np.eye(2), 0.0, cap)
 
     def test_local_optimality_against_sampled_psd_perturbations(self):
         rng = np.random.default_rng(0)
@@ -61,6 +90,39 @@ class TestProx:
             V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             out = prox_psd_trace((V + V.conj().T) / 2, 0.3)
             assert np.linalg.eigvalsh(out).min() >= -1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        shift=st.floats(0.0, 2.0),
+        cap=st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
+    )
+    def test_capped_prox_matches_bisection_oracle(self, field, n, seed, shift, cap):
+        V = 3.0 * _random_hermitian(np.random.default_rng(seed), n, field)
+        out = prox_psd_trace(V, shift, cap)
+        scale = max(1.0, np.linalg.norm(V))
+        assert np.linalg.eigvalsh(out).min() >= -1e-12 * scale
+        assert np.trace(out).real <= cap * (1 + 1e-12) + 1e-15
+        assert np.linalg.norm(out - capped_prox(V, shift, cap)) <= 1e-10 * scale
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(["real", "complex"]), n=st.integers(1, 8), seed=st.integers(0, 2**16))
+    def test_infinite_cap_is_bitwise_uncapped_prox(self, field, n, seed):
+        V = _random_hermitian(np.random.default_rng(seed), n, field)
+        for shift in (0.0, 0.3):
+            expected = capped_prox(V, shift)
+            assert np.array_equal(prox_psd_trace(V, shift, np.inf), expected)
+            assert np.array_equal(prox_psd_trace(V, shift), expected)
+
+    def test_hand_capped_shrinkage(self):
+        # eigenvalues 3, 1 shrink to 2, 0; the cap 1 shifts the 2 down to 1, and a cap 2 is idle
+        V = np.diag([3.0, 1.0, -2.0])
+        assert np.allclose(prox_psd_trace(V, 1.0, cap=1.0), np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(prox_psd_trace(V, 1.0, cap=2.0), prox_psd_trace(V, 1.0))
+        out = prox_psd_trace(np.diag([3.0, 2.0, -2.0]), 0.0, cap=3.0)
+        assert np.allclose(out, np.diag([2.0, 1.0, 0.0]))
 
 
 class TestLipschitz:
@@ -199,6 +261,54 @@ class TestRegularized:
         assert calls["prox"] > rep.iterations > 1  # some steps restarted
         assert calls["forward"] == calls["prox"] + 1
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        tau=st.floats(0.0, 10.0),
+        lam_frac=st.sampled_from([0.0, 0.01, 0.5]),
+    )
+    def test_duality_gap_is_nonnegative_at_every_check(self, model, n, m, seed, tau, lam_frac):
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(n, m, model, seed)
+        b = np.random.default_rng(seed).uniform(0.0, 2.0, size=m)
+        lam = lam_frac * zero_solution_lambda(ens, b)
+        gaps = []
+        original = solver._duality_gap
+
+        def recorded(*args):
+            out = original(*args)
+            gaps.append(out[0])
+            return out
+
+        with mock.patch.object(solver, "_duality_gap", recorded):
+            rep = solve_regularized(ens, b, lam, max_iters=200, tau=tau)
+        assert gaps  # the final iterate is always checked
+        assert min(gaps) >= -1e-12 * float(b @ b)
+        assert np.trace(rep.X_hat).real <= tau * (1 + 1e-12) + 1e-15
+        assert rep.lambda_used >= lam
+
+    def test_capped_solution_solves_the_lambda_form_at_its_multiplier(self):
+        # a tau-capped solution with an active cap solves the lambda form at lambda_used
+        ens = sample_ensemble(6, 36, "complex-gaussian", seed=21)
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        b = intensities(ens, x) + 0.1 * rng.standard_normal(36)
+        capped = solve_regularized(ens, b, 0.0, tau=0.5 * np.linalg.norm(x) ** 2)
+        assert capped.converged
+        assert np.trace(capped.X_hat).real == pytest.approx(0.5 * np.linalg.norm(x) ** 2, rel=1e-9)
+        free = solve_regularized(ens, b, capped.lambda_used)
+        assert np.linalg.norm(free.X_hat - capped.X_hat) <= 1e-3 * np.linalg.norm(capped.X_hat)
+
+    def test_negative_or_nan_tau_rejected(self):
+        ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
+        for tau in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                solve_regularized(ens, np.zeros(6), 0.0, tau=tau)
+
     def test_oracle_equivalence_light(self):
         # light version of the long-run equivalence check in acceptance
         ens = sample_ensemble(3, 12, "real-gaussian", seed=9)
@@ -297,3 +407,45 @@ class TestConstrained:
         assert rep.converged
         assert rep.residual <= NOISELESS_EPS_REL * np.linalg.norm(b)
 
+    @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
+    def test_noisy_solve_takes_few_newton_probes(self, monkeypatch, snr_db):
+        probes = _count_probes(monkeypatch)
+        rng = np.random.default_rng(100)
+        x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        ens = sample_ensemble(32, 192, "complex-unit-sphere", seed=200)
+        data = add_noise(intensities(ens, x), "gaussian", snr_db, seed=300)
+        rep = solve_constrained(ens, data)
+        assert 1 <= len(probes) <= 6
+        assert all(np.diff(probes) > 0)  # Newton from the left: tau only grows
+        assert rep.converged and rep.residual <= data.eps
+
+    @pytest.mark.parametrize("eps_rel", [1e-2, 1e-4, 1e-6])
+    def test_inconsistent_data_flagged_within_ten_probes(self, monkeypatch, eps_rel):
+        probes = _count_probes(monkeypatch)
+        ens = sample_ensemble(4, 24, "real-gaussian", seed=15)
+        rng = np.random.default_rng(11)
+        b = intensities(ens, rng.standard_normal(4)) + rng.uniform(0.2, 0.5, size=24)
+        eps = eps_rel * np.linalg.norm(b)
+        rep = solve_constrained(ens, IntensityData(b=b, nu=np.zeros(24), eps=eps))
+        assert not rep.converged
+        assert rep.residual > eps
+        assert len(probes) <= 10
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        model=st.sampled_from(["real-gaussian", "complex-unit-sphere"]),
+        noisy=st.booleans(),
+        c=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scale_equivariance(self, model, noisy, c, seed):
+        # (b, eps) -> (c b, c eps) maps the solution X to c X, iteration for iteration
+        ens = sample_ensemble(5, 30, model, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if ens.field == "complex" else 0)
+        b = intensities(ens, x)
+        data = add_noise(b, "gaussian", 30.0, seed=seed) if noisy else IntensityData(b, 0 * b, 0.0)
+        ref = solve_constrained(ens, data)
+        scaled = solve_constrained(ens, IntensityData(c * data.b, c * data.nu, c * data.eps))
+        assert scaled.iterations == ref.iterations
+        assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
