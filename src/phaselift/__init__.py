@@ -31,7 +31,6 @@ from .hermitian import (
     eig,
     matrix_norms,
     project_tangent,
-    project_tangent_complement,
 )
 from .measurement import (
     IntensityData,
@@ -42,7 +41,7 @@ from .measurement import (
     intensities,
     sample_ensemble,
 )
-from .recovery import RecoveryResult, debias, extract_rank1, recover, rel_mse
+from .recovery import RecoveryResult, debias, recover, rel_mse
 from .solver import (
     SolveReport,
     estimate_lipschitz,
@@ -71,14 +70,12 @@ __all__ = [
     "debias",
     "eig",
     "estimate_lipschitz",
-    "extract_rank1",
     "intensities",
     "l1_isometry_check",
     "matrix_norms",
     "mean_gram",
     "mean_gram_inverse",
     "project_tangent",
-    "project_tangent_complement",
     "prox_psd_trace",
     "rank2_l1_mc",
     "rank2_l1_mean_complex",

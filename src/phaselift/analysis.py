@@ -13,7 +13,7 @@ import numpy as np
 
 from ._rng import substream
 from .hermitian import DTYPES
-from .measurement import _draw_gaussian
+from .measurement import SensingEnsemble, _draw_gaussian, intensities
 
 
 def _check_t(t):
@@ -73,8 +73,9 @@ def l1_isometry_check(field: str, n: int, m: int, trials: int, seed: int) -> L1I
     if trials < 1:
         raise ValueError("trials must be positive")
     rng = substream(seed, 5)
-    Z = _draw_gaussian(rng, m, n, field)  # E |<u, z_i>|^2 = 1 in both fields
-    sv = np.linalg.svd(Z, compute_uv=False)
+    # E |<u, z_i>|^2 = 1 in both fields
+    ens = SensingEnsemble(_draw_gaussian(rng, m, n, field), f"{field}-gaussian")
+    sv = np.linalg.svd(ens.vectors, compute_uv=False)
     delta = max(1.0 - sv[-1] ** 2 / m, sv[0] ** 2 / m - 1.0)
 
     min_ratio = np.inf
@@ -82,8 +83,7 @@ def l1_isometry_check(field: str, n: int, m: int, trials: int, seed: int) -> L1I
         G = _draw_gaussian(rng, n, 2, field)
         Q, _ = np.linalg.qr(G)
         t = rng.uniform(0.0, 1.0)
-        a = np.abs(Z @ Q[:, 0].conj()) ** 2
-        b = np.abs(Z @ Q[:, 1].conj()) ** 2
+        a, b = intensities(ens, Q[:, 0]), intensities(ens, Q[:, 1])
         # ||uu* - t vv*||_op = max(1, t) = 1 for t in [0, 1]
         min_ratio = min(min_ratio, float(np.mean(np.abs(a - t * b))))
     return L1IsometryReport(delta_observed=float(delta), rank2_min_ratio=float(min_ratio))

@@ -31,6 +31,7 @@ from .measurement import (
     _draw_gaussian,
     apply_adjoint,
     apply_measurement,
+    intensities,
 )
 
 #: (tangent-distance, complement-operator-norm) thresholds per field.
@@ -116,9 +117,8 @@ def build_certificate(
         )
     w = apply_measurement(ens, mean_gram_inverse(np.outer(x, x.conj()), ens.field))
     if truncate:
-        Z = ens.vectors
-        keep = (np.abs(Z @ x.conj()) <= np.sqrt(2.0 * beta * np.log(n))) & (
-            np.linalg.norm(Z, axis=1) <= np.sqrt(3.0 * n)
+        keep = (np.sqrt(intensities(ens, x)) <= np.sqrt(2.0 * beta * np.log(n))) & (
+            np.linalg.norm(ens.vectors, axis=1) <= np.sqrt(3.0 * n)
         )
         w = w * keep
         dropped = 1.0 - float(keep.mean())

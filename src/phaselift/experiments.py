@@ -63,6 +63,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment {self.experiment!r}")
         if self.n < 1 or self.trials < 1 or self.max_iters < 1:
             raise ConfigError("n, trials and max_iters must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.mc_samples < 1000:
             raise ConfigError(f"mc_samples must be at least 1000, got {self.mc_samples}")
         if not self.beta > 0:
@@ -89,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("noise none with a finite snr_db mislabels rows; use --snr-db inf")
         if self.n < 2 and self.experiment in ("certificate-study", "rip1-study"):
             raise ConfigError(f"{self.experiment} needs n >= 2, got n={self.n}")
+        if self.experiment == "rip1-study" and min(self.m or [self.n]) < self.n:
+            raise ConfigError(f"rip1-study needs grid m entries >= n={self.n}, got {min(self.m)}")
 
     def digest(self) -> str:
         """Hash of every field except `out`, so one config hashes the same at any path."""

@@ -101,8 +101,3 @@ def project_tangent(x: np.ndarray, H: np.ndarray) -> np.ndarray:
     P = np.outer(x, Hx.conj()) + np.outer(Hx, x.conj()) - xHx * np.outer(x, x.conj())
     return (P + P.conj().T) / 2
 
-
-def project_tangent_complement(x: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Component of H orthogonal to the tangent space at unit x."""
-    H = as_hermitian(H)
-    return H - project_tangent(x, H)

@@ -16,7 +16,7 @@ from ._rng import substream
 from .hermitian import COMPLEX, REAL, as_hermitian, as_signal, field_of
 
 GAUSSIAN_MODELS = ("real-gaussian", "complex-gaussian")
-SPHERE_MODELS = ("real-unit-sphere", "complex-unit-sphere", "sphere-radius-sqrt-n")
+SPHERE_MODELS = ("real-unit-sphere", "complex-unit-sphere")
 MODELS = GAUSSIAN_MODELS + SPHERE_MODELS
 
 NOISE_MODELS = ("gaussian", "poisson", "none")
@@ -75,7 +75,6 @@ def sample_ensemble(n: int, m: int, model: str, seed: int) -> SensingEnsemble:
     rng = substream(seed, 0)
     Z = _draw_gaussian(rng, m, n, field)
     if model in SPHERE_MODELS:
-        radius = np.sqrt(n) if model == "sphere-radius-sqrt-n" else 1.0
         norms = np.linalg.norm(Z, axis=1)
         bad = norms == 0.0
         if np.any(bad):
@@ -83,7 +82,7 @@ def sample_ensemble(n: int, m: int, model: str, seed: int) -> SensingEnsemble:
             norms = np.linalg.norm(Z, axis=1)
             if np.any(norms == 0.0):
                 raise RuntimeError("zero-norm Gaussian draw twice in a row")
-        Z = Z * (radius / norms)[:, None]
+        Z = Z * (1.0 / norms)[:, None]
     return SensingEnsemble(vectors=Z, model=model)
 
 
@@ -115,19 +114,12 @@ def intensities(ens: SensingEnsemble, x: np.ndarray) -> np.ndarray:
     return np.abs(inner) ** 2
 
 
-def add_noise(
-    b_clean: np.ndarray,
-    model: str,
-    snr_db: float,
-    seed: int,
-    ref_power: float | None = None,
-) -> IntensityData:
+def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> IntensityData:
     """Corrupt clean intensities with noise rescaled to an exact SNR.
 
-    The realized noise nu is scaled so 10*log10(ref / ||nu||^2) equals
-    snr_db, where ref defaults to ||b_clean||^2 (measurement-relative
-    SNR).  Pass ref_power=||x||^2 for the signal-relative convention.
-    snr_db = +inf or model 'none' yields nu = 0.
+    The realized noise nu is scaled so 10*log10(||b_clean||^2 / ||nu||^2)
+    equals snr_db (measurement-relative SNR).  snr_db = +inf or model
+    'none' yields nu = 0.
     """
     b_clean = np.asarray(b_clean, dtype=np.float64)
     if np.any(b_clean < 0):
@@ -139,9 +131,9 @@ def add_noise(
         return IntensityData(b=b_clean.copy(), nu=z, eps=0.0)
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
-    ref = float(np.sum(b_clean**2)) if ref_power is None else float(ref_power)
+    ref = float(np.sum(b_clean**2))
     if ref <= 0:
-        raise ValueError("cannot set a finite SNR against a zero-power reference")
+        raise ValueError("cannot set a finite SNR against zero-power intensities")
     target = np.sqrt(ref) * 10.0 ** (-snr_db / 20.0)
 
     rng = substream(seed, 1)

@@ -17,34 +17,9 @@ PSD_EXTRACTION_RTOL = 1e-6
 class RecoveryResult:
     x_hat: np.ndarray
     x_hat_debiased: np.ndarray
-    lambda1: float
     spectrum: np.ndarray
     rel_mse: float | None = None
     rel_rms: float | None = None
-
-
-def extract_rank1(X_hat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Top rank-1 component of a (numerically) PSD matrix.
-
-    Returns (sqrt(lambda_1) * u_1, lambda_1) using the deterministic
-    eigenvector convention of `hermitian.eig`.  Warns when the top
-    eigenvalue is (nearly) degenerate, since the choice of u_1 is then
-    ill-posed.
-    """
-    return _top_component(*eig(X_hat))
-
-
-def _top_component(w: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
-    """`extract_rank1` on an existing eigendecomposition (w descending, V its columns)."""
-    fro = float(np.linalg.norm(w))
-    if w[-1] < -PSD_EXTRACTION_RTOL * max(fro, 1e-300):
-        raise ValueError("matrix is significantly non-PSD; cannot extract a rank-1 component")
-    lam1 = max(float(w[0]), 0.0)
-    if lam1 == 0.0:
-        return np.zeros(V.shape[0], dtype=V.dtype), 0.0
-    if V.shape[0] > 1 and w[0] - w[1] <= 1e-9 * max(1.0, lam1):
-        warnings.warn("top eigenvalue is nearly degenerate; rank-1 extraction is ill-posed")
-    return np.sqrt(lam1) * V[:, 0], lam1
 
 
 def debias(x_hat: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -82,18 +57,27 @@ def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
 
 
 def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResult:
-    """Full recovery pipeline: extraction, debiasing, optional error metrics."""
+    """Full recovery pipeline: extraction, debiasing, optional error metrics.
+
+    x_hat = sqrt(lambda_1) u_1 is the top rank-1 component of the
+    (numerically) PSD X_hat, using the deterministic eigenvector convention
+    of `hermitian.eig`.  Warns when the top eigenvalue is (nearly)
+    degenerate, since the choice of u_1 is then ill-posed.
+    """
     w, V = eig(X_hat)
-    x_hat, lam1 = _top_component(w, V)
-    x_deb = debias(x_hat, w)
+    if w[-1] < -PSD_EXTRACTION_RTOL * max(float(np.linalg.norm(w)), 1e-300):
+        raise ValueError("matrix is significantly non-PSD; cannot extract a rank-1 component")
+    lam1 = max(float(w[0]), 0.0)
+    if V.shape[0] > 1 and lam1 > 0.0 and w[0] - w[1] <= 1e-9 * max(1.0, lam1):
+        warnings.warn("top eigenvalue is nearly degenerate; rank-1 extraction is ill-posed")
+    x_hat = np.sqrt(lam1) * V[:, 0]
     err = err_rms = None
     if x_true is not None:
         err = rel_mse(as_signal(x_true), x_hat)
         err_rms = float(np.sqrt(max(err, 0.0)))
     return RecoveryResult(
         x_hat=x_hat,
-        x_hat_debiased=x_deb,
-        lambda1=lam1,
+        x_hat_debiased=debias(x_hat, w),
         spectrum=w,
         rel_mse=err,
         rel_rms=err_rms,

@@ -11,7 +11,7 @@ Friedlander, "Probing the Pareto frontier", SIAM J. Sci. Comput. 2008).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,6 @@ MAX_ITERS = 5000
 class SolveReport:
     X_hat: np.ndarray
     iterations: int
-    objective_trace: list[float] = field(repr=False, default_factory=list)
     residual: float = 0.0
     lambda_used: float = 0.0
     converged: bool = False
@@ -113,7 +112,6 @@ def solve_regularized(
     )
     Y, rY = X, r
     t = 1.0
-    trace = [obj]
     converged = False
     iters = 0
     lam_used = lam
@@ -126,7 +124,6 @@ def solve_regularized(
             # kill momentum and retake the step from the last iterate
             t = 1.0
             X_new, r_new, obj_new = prox_step(X, r)
-        trace.append(obj_new)
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         beta = (t - 1.0) / t_new
         dX = X_new - X
@@ -143,7 +140,6 @@ def solve_regularized(
     return SolveReport(
         X_hat=X,
         iterations=iters,
-        objective_trace=trace,
         residual=float(np.linalg.norm(r)),
         lambda_used=float(lam_used),
         converged=converged,
@@ -193,7 +189,6 @@ def solve_constrained(
         return SolveReport(
             X_hat=np.zeros((ens.n, ens.n), DTYPES[ens.field]),
             iterations=0,
-            objective_trace=[0.5 * b_norm**2],
             residual=b_norm,
             lambda_used=lam_hi,
             converged=True,

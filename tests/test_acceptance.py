@@ -194,7 +194,8 @@ def test_criterion_9_solver_oracle_equivalence():
         lam = 0.05 * zero_solution_lambda(ens, b)
         X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / gram_lambda_max(ens), iters=100_000)
         rep = pl.solve_regularized(ens, b, lam)
-        obj_err = abs(rep.objective_trace[-1] - obj_ref) / max(abs(obj_ref), 1e-300)
+        obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
+        obj_err = abs(obj - obj_ref) / max(abs(obj_ref), 1e-300)
         x_err = float(np.linalg.norm(rep.X_hat - X_ref))
         worst_obj, worst_x = max(worst_obj, obj_err), max(worst_x, x_err)
         ok = ok and obj_err <= 1e-6 and x_err <= 1e-4

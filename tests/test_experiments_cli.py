@@ -413,6 +413,8 @@ class TestCliEntry:
             ("f-curves", ["--mc-samples", "500"], "at least 1000"),
             ("certificate-study", ["--n", "1"], "n >= 2"),
             ("rip1-study", ["--n", "1"], "n >= 2"),
+            ("rip1-study", ["--m", "3"], "grid m entries >= n=4"),
+            ("f-curves", ["--seed", "-1", "--mc-samples", "1000"], "seed must be nonnegative"),
             ("snr-sweep", ["--snr-db", "20", "--noise", "none"], "--snr-db inf"),
         ],
     )

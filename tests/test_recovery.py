@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phaselift.hermitian import eig
-from phaselift.recovery import RecoveryResult, debias, extract_rank1, recover, rel_mse
+from phaselift.recovery import RecoveryResult, debias, recover, rel_mse
 
 from oracles import phase_grid_rel_mse
 
@@ -11,33 +11,33 @@ class TestExtraction:
     def test_exact_lift(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        x_hat, lam1 = extract_rank1(np.outer(x, x.conj()))
-        assert lam1 == pytest.approx(np.linalg.norm(x) ** 2)
-        assert rel_mse(x, x_hat) <= 1e-12
+        res = recover(np.outer(x, x.conj()))
+        assert res.spectrum[0] == pytest.approx(np.linalg.norm(x) ** 2)
+        assert rel_mse(x, res.x_hat) <= 1e-12
 
     def test_hand_diagonal(self):
-        x_hat, lam1 = extract_rank1(np.diag([1.0, 0.25]))
-        assert lam1 == pytest.approx(1.0)
-        assert np.allclose(x_hat, [1.0, 0.0])
+        res = recover(np.diag([1.0, 0.25]))
+        assert res.spectrum[0] == pytest.approx(1.0)
+        assert np.allclose(res.x_hat, [1.0, 0.0])
 
     def test_zero_matrix(self):
-        x_hat, lam1 = extract_rank1(np.zeros((3, 3)))
-        assert lam1 == 0.0 and not x_hat.any()
+        res = recover(np.zeros((3, 3)))
+        assert res.spectrum[0] == 0.0 and not res.x_hat.any()
 
     def test_energy_identity(self):
         rng = np.random.default_rng(1)
         B = rng.standard_normal((4, 4))
         X = B @ B.T
-        x_hat, lam1 = extract_rank1(X)
-        assert np.linalg.norm(x_hat) ** 2 == pytest.approx(lam1, rel=1e-10)
+        res = recover(X)
+        assert np.linalg.norm(res.x_hat) ** 2 == pytest.approx(res.spectrum[0], rel=1e-10)
 
     def test_non_psd_rejected(self):
         with pytest.raises(ValueError):
-            extract_rank1(np.diag([1.0, -1.0]))
+            recover(np.diag([1.0, -1.0]))
 
     def test_degenerate_top_eigenvalue_warns(self):
         with pytest.warns(UserWarning):
-            extract_rank1(np.eye(3))
+            recover(np.eye(3))
 
 
 class TestDebias:
@@ -127,7 +127,7 @@ class TestPipeline:
         res = recover(X, x_true=x)
         assert isinstance(res, RecoveryResult)
         assert res.rel_rms**2 == pytest.approx(res.rel_mse, abs=1e-12)
-        assert np.linalg.norm(res.x_hat) ** 2 == pytest.approx(res.lambda1, rel=1e-10)
+        assert np.linalg.norm(res.x_hat) ** 2 == pytest.approx(res.spectrum[0], rel=1e-10)
         energy = np.sum(np.maximum(res.spectrum, 0.0))
         assert np.linalg.norm(res.x_hat_debiased) ** 2 == pytest.approx(energy, rel=1e-10)
 
@@ -146,12 +146,12 @@ class TestPipeline:
         X = np.outer(x, x.conj()) + 0.01 * np.eye(5)
         res = recover(X, x_true=x)
         assert len(calls) == 1
-        x_hat, lam1 = extract_rank1(X)
-        assert np.array_equal(res.x_hat, x_hat) and res.lambda1 == lam1
+        w, V = eig(X)
+        assert np.array_equal(res.x_hat, np.sqrt(w[0]) * V[:, 0])
+        assert np.array_equal(res.spectrum, w)
 
     def test_extract_then_compare_roundtrip(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(7)
         x /= np.linalg.norm(x)
-        x_hat, _ = extract_rank1(np.outer(x, x))
-        assert rel_mse(x, x_hat) <= 1e-10
+        assert rel_mse(x, recover(np.outer(x, x)).x_hat) <= 1e-10

@@ -211,12 +211,15 @@ class TestRegularized:
         ens = sample_ensemble(5, 25, "real-gaussian", seed=7)
         rng = np.random.default_rng(5)
         b = rng.uniform(0.0, 2.0, size=25)
-        rep = solve_regularized(ens, b, lam=0.1)
-        assert np.linalg.eigvalsh(rep.X_hat).min() >= -1e-9 * max(
-            np.linalg.norm(rep.X_hat), 1e-300
-        )
-        trace = np.asarray(rep.objective_trace)
-        assert np.all(np.diff(trace) <= 1e-12)
+        objs = [0.5 * float(b @ b)]  # the objective at the start X = 0
+        for k in range(1, 31):
+            # runs are deterministic, so the k-iteration run ends at the k-th iterate
+            rep = solve_regularized(ens, b, lam=0.1, max_iters=k)
+            assert np.linalg.eigvalsh(rep.X_hat).min() >= -1e-9 * max(
+                np.linalg.norm(rep.X_hat), 1e-300
+            )
+            objs.append(0.5 * rep.residual**2 + 0.1 * np.trace(rep.X_hat).real)
+        assert np.all(np.diff(objs) <= 1e-12)
 
     def test_negative_lambda_rejected(self):
         ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
@@ -318,7 +321,8 @@ class TestRegularized:
         lam = 0.05 * zero_solution_lambda(ens, b)
         X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / gram_lambda_max(ens), iters=20_000)
         rep = solve_regularized(ens, b, lam)
-        assert rep.objective_trace[-1] == pytest.approx(obj_ref, rel=1e-6)
+        obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
+        assert obj == pytest.approx(obj_ref, rel=1e-6)
         assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-4
 
 
