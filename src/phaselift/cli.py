@@ -8,40 +8,31 @@ in the CSV either way).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
-from .experiments import EXPERIMENTS, ConfigError, ExperimentConfig, run_experiment
-from .hermitian import DTYPES
-from .measurement import NOISE_MODELS
+from .experiments import CHOICES, GRID_ITEMS, ConfigError, ExperimentConfig, run_experiment
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
+def _comma_list(item: type):
+    return lambda text: [item(tok) for tok in text.split(",") if tok.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="phaselift",
-        description="Phaseless-measurement recovery experiments with CSV output.",
+        description="Phaseless-measurement recovery experiments with CSV output. Each flag "
+        "sets the config field of its name (--m-over-n sets m_over_n); grids are comma-separated.",
     )
     p.add_argument("--config", help="JSON config file; flags below override its values")
-    p.add_argument("--experiment", choices=EXPERIMENTS)
-    p.add_argument("--n", type=int)
-    p.add_argument("--m", type=_int_list, help="comma-separated m grid")
-    p.add_argument("--m-over-n", type=_int_list, help="comma-separated m/n grid")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--snr-db", type=_float_list, help="comma-separated SNR grid in dB")
-    p.add_argument("--noise", choices=NOISE_MODELS)
-    p.add_argument("--field", choices=tuple(DTYPES))
-    p.add_argument("--mc-samples", type=int)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--max-iters", type=int)
-    p.add_argument("--out", help="output CSV path")
+    for f in dataclasses.fields(ExperimentConfig):
+        item = GRID_ITEMS.get(f.name)
+        default = getattr(ExperimentConfig, f.name, "")  # `experiment` has none: a string
+        p.add_argument(
+            "--" + f.name.replace("_", "-"),
+            type=_comma_list(item) if item else type(default),
+            choices=CHOICES.get(f.name),
+        )
     p.add_argument(
         "--strict",
         action="store_true",

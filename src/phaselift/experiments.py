@@ -59,8 +59,9 @@ class ExperimentConfig:
     max_iters: int = MAX_ITERS
 
     def validate(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.n < 1 or self.trials < 1 or self.max_iters < 1:
             raise ConfigError("n, trials and max_iters must be positive")
         if self.seed < 0:
@@ -69,10 +70,6 @@ class ExperimentConfig:
             raise ConfigError(f"mc_samples must be at least 1000, got {self.mc_samples}")
         if not self.beta > 0:
             raise ConfigError(f"beta must be > 0, got {self.beta}")
-        if self.field not in DTYPES:
-            raise ConfigError(f"unknown field {self.field!r}")
-        if self.noise not in NOISE_MODELS:
-            raise ConfigError(f"unknown noise model {self.noise!r}")
         spec = _EXPERIMENTS[self.experiment]
         for name, axis in {"m": spec.ratios, "m_over_n": spec.ratios, "snr_db": spec.snrs}.items():
             grid = getattr(self, name)
@@ -93,6 +90,9 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs n >= 2, got n={self.n}")
         if self.experiment == "rip1-study" and min(self.m or [self.n]) < self.n:
             raise ConfigError(f"rip1-study needs grid m entries >= n={self.n}, got {min(self.m)}")
+        folder = os.path.dirname(self.out) or "."
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+            raise ConfigError(f"output directory {folder!r} does not exist or is not writable")
 
     def digest(self) -> str:
         """Hash of every field except `out`, so one config hashes the same at any path."""
@@ -110,7 +110,7 @@ class ExperimentConfig:
             raise ConfigError("an experiment is required (--experiment or a config file's)")
         for key, value in raw.items():
             # `experiment` has no default and is checked against "" as a string
-            if _wrong_type(getattr(cls, key, ""), value, 0.0 if key == "snr_db" else 0):
+            if _wrong_type(getattr(cls, key, ""), value, GRID_ITEMS.get(key, int)()):
                 raise ConfigError(f"config key {key!r} has the wrong type: {value!r}")
         cfg = cls(**raw)
         cfg.validate()
@@ -359,7 +359,9 @@ _EXPERIMENTS = {
     "f-curves": _Experiment(_F_CURVE_FIELDS, _f_curve_trial, None, None, trials=1),
 }
 
-EXPERIMENTS = tuple(_EXPERIMENTS)
+#: The allowed values of the fields that name a choice, and the item type of each grid.
+CHOICES = {"experiment": tuple(_EXPERIMENTS), "field": tuple(DTYPES), "noise": NOISE_MODELS}
+GRID_ITEMS = {"m": int, "m_over_n": int, "snr_db": float}
 
 
 def _points(cfg: ExperimentConfig, spec: _Experiment) -> list[dict]:

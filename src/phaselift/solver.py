@@ -48,13 +48,11 @@ def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf) -> np.ndarr
     w, U = np.linalg.eigh(V)  # sign convention irrelevant: only U w U* is used
     w = np.maximum(w - shift, 0.0)
     if w.sum() > cap:
-        u = np.sort(w)[::-1]
+        u = w[::-1]  # eigh's ascending order survives the shift and the clip
         excess = (np.cumsum(u) - cap) / np.arange(1, u.size + 1)
         w = np.maximum(w - excess[np.nonzero(u >= excess)[0][-1]], 0.0)
         w *= cap / max(w.sum(), np.finfo(float).tiny)  # undo the round-off of theta - u
     pos = w > 0
-    if not np.any(pos):
-        return np.zeros_like(V)
     U = U[:, pos]
     X = (U * w[pos]) @ U.conj().T
     return (X + X.conj().T) / 2
@@ -149,7 +147,7 @@ def solve_regularized(
 def _duality_gap(ens, b, X, r, lam, tau):
     """Frank-Wolfe gap of X over {X >= 0, Tr X <= tau}, which bounds the objective's excess
     over its minimum, and the lambda-form multiplier max(lam, lambda_max(A*(-r))) (>= 0)."""
-    mu = max(0.0, float(np.linalg.eigvalsh(apply_adjoint(ens, -r))[-1]))
+    mu = zero_solution_lambda(ens, -r)
     gap = float(r @ (r + b)) + lam * float(np.trace(X).real) + tau * max(0.0, mu - lam)
     return gap, max(lam, mu)
 
@@ -195,18 +193,16 @@ def solve_constrained(
         )
     if data.eps == 0:
         rep = solve_regularized(ens, b, lam_hi * 1e-8, max_iters=max_iters)
-        rep.converged = rep.converged and rep.residual <= eps
-        return rep
-
-    tau, phi, lam, warm, total_iters = 0.0, b_norm, lam_hi, None, 0
-    while True:
-        tau += (phi - eps * (1.0 - EPS_REL_TOL)) * phi / lam
-        rep = solve_regularized(ens, b, 0.0, X0=warm, max_iters=max_iters, tau=tau)
-        total_iters += rep.iterations
-        stalled = rep.lambda_used == 0.0 or phi - rep.residual < EPS_REL_TOL * eps
-        if rep.residual <= eps or stalled:
-            break
-        phi, lam, warm = rep.residual, rep.lambda_used, rep.X_hat
+    else:
+        tau, phi, lam, warm, total_iters = 0.0, b_norm, lam_hi, None, 0
+        while True:
+            tau += (phi - eps * (1.0 - EPS_REL_TOL)) * phi / lam
+            rep = solve_regularized(ens, b, 0.0, X0=warm, max_iters=max_iters, tau=tau)
+            total_iters += rep.iterations
+            stalled = rep.lambda_used == 0.0 or phi - rep.residual < EPS_REL_TOL * eps
+            if rep.residual <= eps or stalled:
+                break
+            phi, lam, warm = rep.residual, rep.lambda_used, rep.X_hat
+        rep.iterations = total_iters
     rep.converged = rep.converged and rep.residual <= eps
-    rep.iterations = total_iters
     return rep

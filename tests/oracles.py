@@ -2,18 +2,22 @@
 
 import numpy as np
 
-from phaselift.measurement import apply_adjoint, apply_measurement
-from phaselift.solver import prox_psd_trace
-
 
 def plain_proximal_gradient(ens, b, lam, step, iters):
-    """Unaccelerated projected proximal gradient, fixed step, from zero."""
-    dtype = np.float64 if ens.field == "real" else np.complex128
-    X = np.zeros((ens.n, ens.n), dtype=dtype)
+    """Unaccelerated projected proximal gradient, fixed step, from zero.
+
+    It shares no code with the solver: the measurement map is the lifted
+    m x n^2 matrix whose row i is conj(z_i) kron z_i, so that row i times
+    vec(X) is z_i* X z_i, and its adjoint is the conjugate transpose.
+    """
+    Z, n = ens.vectors, ens.n
+    A = np.einsum("ij,ik->ijk", Z.conj(), Z).reshape(ens.m, n * n)
+    AH = A.conj().T
+    X = np.zeros((n, n), dtype=Z.dtype)
     for _ in range(iters):
-        grad = apply_adjoint(ens, apply_measurement(ens, X) - b)
-        X = prox_psd_trace(X - step * grad, step * lam)
-    r = apply_measurement(ens, X) - b
+        grad = (AH @ ((A @ X.ravel()).real - b)).reshape(n, n)
+        X = capped_prox(X - step * grad, step * lam)
+    r = (A @ X.ravel()).real - b
     obj = 0.5 * float(r @ r) + lam * float(np.trace(X).real)
     return X, obj
 

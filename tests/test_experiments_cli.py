@@ -1,11 +1,13 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from phaselift.cli import main
+from phaselift.cli import build_parser, config_from_args, main
 from phaselift.experiments import (
+    CHOICES,
     ConfigError,
     ExperimentConfig,
     run_experiment,
@@ -427,6 +429,17 @@ class TestCliEntry:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_output_directory_is_config_error(self, tmp_path, capsys):
+        folder = tmp_path / "missing"
+        out = folder / "x.csv"
+        argv = ["--experiment", "f-curves", "--mc-samples", "1000"]
+        assert main(argv + ["--out", str(out)]) == 2
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"experiment": "f-curves", "mc_samples": 1000, "out": str(out)}))
+        assert main(["--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.count(f"output directory {str(folder)!r}") == 2
+        assert not folder.exists() and list(tmp_path.iterdir()) == [cfg_path]
+
     def test_m_and_m_over_n_together_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "both.csv"
         argv = ["--experiment", "snr-sweep", "--n", "4", "--trials", "1", "--out", str(out)]
@@ -490,3 +503,43 @@ class TestCliEntry:
         assert code == 0
         _, rows = read_csv(out)
         assert [r["converged"] for r in rows if r["row_type"] == "trial"] == ["1"]
+
+
+def _argv(values):
+    argv = []
+    for key, value in values.items():
+        text = ",".join(map(str, value)) if type(value) is list else str(value)
+        argv += ["--" + key.replace("_", "-"), text]
+    return argv
+
+
+class TestGeneratedCli:
+    def test_every_field_is_a_flag(self, tmp_path):
+        values = {
+            "experiment": "snr-sweep",
+            "n": 8,
+            "m": [16, 24],
+            "m_over_n": [3, 5],
+            "field": "real",
+            "noise": "poisson",
+            "snr_db": [20.5, float("inf")],
+            "trials": 3,
+            "seed": 7,
+            "out": str(tmp_path / "x.csv"),
+            "mc_samples": 2000,
+            "beta": 4.5,
+            "max_iters": 77,
+        }
+        fields = dataclasses.fields(ExperimentConfig)
+        assert [f.name for f in fields] == list(values)
+        assert all(values[f.name] != f.default for f in fields)
+        args = build_parser().parse_args(_argv(values))
+        assert {k: v for k, v in vars(args).items() if k not in ("config", "strict")} == values
+        for grid in ("m", "m_over_n"):  # a valid config holds one of the two m grids
+            one = {k: v for k, v in values.items() if k != grid}
+            args = build_parser().parse_args(_argv(one))
+            assert config_from_args(args) == ExperimentConfig.from_dict(one)
+
+    def test_choices_come_from_the_schema(self):
+        actions = build_parser()._actions
+        assert {a.dest: tuple(a.choices) for a in actions if a.choices} == CHOICES
