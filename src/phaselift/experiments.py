@@ -2,7 +2,9 @@
 
 Every experiment is a grid of points, k seeded trials per point and at
 most one summary row per point; it declares only its default axes, its
-trial and summary functions, and `run_grid` does the rest.  Each trial
+trial and summary functions, and `run_experiment` does the rest.  A
+point holds the columns fixed over its block of trials (m, and for the
+recovery experiments snr_db and the noise model in effect).  Each trial
 draws from its own substream keyed by (seed, grid index, trial), trials
 run in a worker pool, and rows are written in grid order, so re-runs
 produce byte-identical CSVs.  A summary row covers only the
@@ -90,9 +92,12 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs n >= 2, got n={self.n}")
         if self.experiment == "rip1-study" and min(self.m or [self.n]) < self.n:
             raise ConfigError(f"rip1-study needs grid m entries >= n={self.n}, got {min(self.m)}")
+        if not os.path.basename(self.out) or os.path.isdir(self.out):
+            raise ConfigError(f"output path {self.out!r} does not name a file")
         folder = os.path.dirname(self.out) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"output directory {folder!r} does not exist or is not writable")
+        _workers()  # a non-integer PHASELIFT_THREADS fails here, before any trial runs
 
     def digest(self) -> str:
         """Hash of every field except `out`, so one config hashes the same at any path."""
@@ -140,8 +145,17 @@ def _wrong_type(default, value, item=0.0) -> bool:
     return type(value) not in ((int, float) if type(default) is float else (type(default),))
 
 
+def _workers() -> int:
+    """The worker pool size from PHASELIFT_THREADS; unset or <= 0 means one."""
+    value = os.environ.get("PHASELIFT_THREADS", "1")
+    try:
+        return max(1, int(value))
+    except ValueError:
+        raise ConfigError(f"PHASELIFT_THREADS must be an integer, got {value!r}") from None
+
+
 def _map_trials(fn, args_list):
-    workers = max(1, int(os.environ.get("PHASELIFT_THREADS", "1")))
+    workers = _workers()
     if workers == 1:
         return [fn(a) for a in args_list]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -169,58 +183,12 @@ def write_csv(path: str, cfg: ExperimentConfig, fieldnames: list[str], rows: lis
         fh.write(buf.getvalue())
 
 
-def _write_timing(path: str, timings: list[dict]) -> None:
-    with open(path + ".timing.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["experiment", "key", "trial", "wall_time_ms"])
-        writer.writeheader()
-        writer.writerows(timings)
-
-
-# --- the grid driver ------------------------------------------------------------
-
-
 def _mean(rows: list[dict], key: str) -> float:
     return float(np.mean([r[key] for r in rows]))
 
 
 def _median(rows: list[dict], key: str) -> float:
     return float(np.median([r[key] for r in rows]))
-
-
-def run_grid(cfg: ExperimentConfig, points: list[dict], trial, summary=None, trials=None):
-    """Run seeded trials at every grid point; return (rows, timing rows).
-
-    Each point is a dict of grid coordinates, e.g. {"m": 48, "snr": 20.0};
-    its "k=v" pairs form the timing key.  `trial(cfg, point, gi, t)`
-    returns the measured columns of trial t at point index gi, drawing
-    its randomness from `child_seed(cfg.seed, gi, t, stream)`.  The rows
-    list each point's `trials` (default cfg.trials) trial rows, then,
-    when `summary(block)` is given, one summary row computed from that
-    block alone.  Every row also carries the experiment, row type, n,
-    field and the point's coordinates.
-    """
-    k = cfg.trials if trials is None else trials
-
-    def timed(args):
-        t0 = time.perf_counter()
-        row = trial(cfg, *args)
-        return row, (time.perf_counter() - t0) * 1e3
-
-    results = _map_trials(timed, [(p, gi, t) for gi, p in enumerate(points) for t in range(k)])
-    rows, timings = [], []
-    for gi, point in enumerate(points):
-        base = {"experiment": cfg.experiment, "n": cfg.n, "field": cfg.field, **point}
-        key = ",".join(f"{name}={value}" for name, value in point.items())
-        block = []
-        for t, (measured, ms) in enumerate(results[gi * k : (gi + 1) * k]):
-            block.append({**base, "row_type": "trial", "trial": t, **measured})
-            timings.append(
-                {"experiment": cfg.experiment, "key": key, "trial": t, "wall_time_ms": ms}
-            )
-        rows += block
-        if summary is not None:
-            rows.append({**base, "row_type": "summary", **summary(block)})
-    return rows, timings
 
 
 # --- recovery experiments: snr-sweep, oversampling-sweep, phase-transition ------
@@ -234,22 +202,18 @@ _TRANSITION_FIELDS = _RECOVERY_FIELDS + ["success", "success_rate"]
 
 def _recovery_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
     """One end-to-end trial: signal, ensemble, noise, solve, extract."""
-    snr_db = point["snr"]
     sig_seed, ens_seed, noise_seed = (child_seed(cfg.seed, gi, t, s) for s in range(3))
     rng = substream(sig_seed, 6)
     x = rng.standard_normal(cfg.n)
     if cfg.field != REAL:
         x = x + 1j * rng.standard_normal(cfg.n)
     ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-unit-sphere", ens_seed)
-    noise = cfg.noise if np.isfinite(snr_db) else "none"
-    data = add_noise(intensities(ens, x), noise, snr_db, noise_seed)
+    data = add_noise(intensities(ens, x), point["noise"], point["snr_db"], noise_seed)
     rep = solve_constrained(ens, data, max_iters=cfg.max_iters)
     res = recover(rep.X_hat, x_true=x)
     err_deb = rel_mse(x, res.x_hat_debiased)
     return {
-        "snr_db": snr_db,
         "seed": sig_seed,
-        "noise": noise,
         "rel_mse": res.rel_mse,
         "rel_rms": res.rel_rms,
         "rel_mse_debiased": err_deb,
@@ -265,10 +229,8 @@ def _recovery_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict
 
 
 def _recovery_summary(block: list[dict]) -> dict:
-    # a block's trials share one SNR, hence one effective noise model
-    row = {"snr_db": block[0]["snr_db"], "noise": block[0]["noise"]}
-    for key in ("rel_mse", "rel_rms", "rel_mse_debiased", "rel_rms_debiased"):
-        row[key] = _mean(block, key)
+    keys = "rel_mse rel_rms rel_mse_debiased rel_rms_debiased".split()
+    row = {key: _mean(block, key) for key in keys}
     row["success_rate"] = _mean(block, "success")
     return row
 
@@ -368,21 +330,52 @@ def _points(cfg: ExperimentConfig, spec: _Experiment) -> list[dict]:
     """Every m paired with every SNR the experiment reads, each axis ascending.
 
     m is `cfg.m`, else `cfg.m_over_n` or the default ratios times n; the
-    SNRs are `cfg.snr_db` or the defaults.
+    SNRs are `cfg.snr_db` or the defaults.  A recovery point also names
+    its noise model: `cfg.noise`, or "none" where the SNR is inf.
     """
     if spec.ratios is None:
         return [{"t": float(t)} for t in np.linspace(0.0, 1.0, 101)]
     ms = sorted(cfg.m or [int(r * cfg.n) for r in cfg.m_over_n or spec.ratios])
     if spec.snrs is None:
         return [{"m": m} for m in ms]
-    return [{"m": m, "snr": s} for m in ms for s in sorted(map(float, cfg.snr_db or spec.snrs))]
+    snrs = sorted(map(float, cfg.snr_db or spec.snrs))
+    noise = {s: cfg.noise if np.isfinite(s) else "none" for s in snrs}
+    return [{"m": m, "snr_db": s, "noise": noise[s]} for m in ms for s in snrs]
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    """Run an experiment, write its CSV (+ timing sidecar), return #failed trials."""
+    """Run an experiment, write its CSV (+ timing sidecar), return #failed trials.
+
+    `spec.trial(cfg, point, gi, t)` returns the measured columns of trial
+    t at point index gi, drawn from `child_seed(cfg.seed, gi, t, stream)`.
+    A row also carries the experiment, row type, n, field and the point's
+    columns, whose "k=v" pairs form the timing key.
+    """
     cfg.validate()
     spec = _EXPERIMENTS[cfg.experiment]
-    rows, timings = run_grid(cfg, _points(cfg, spec), spec.trial, spec.summary, spec.trials)
+    points = _points(cfg, spec)
+    k = spec.trials or cfg.trials
+
+    def timed(args):
+        t0 = time.perf_counter()
+        measured = spec.trial(cfg, *args)
+        return measured, (time.perf_counter() - t0) * 1e3
+
+    results = _map_trials(timed, [(p, gi, t) for gi, p in enumerate(points) for t in range(k)])
+    rows, timings = [], []
+    for gi, point in enumerate(points):
+        base = {"experiment": cfg.experiment, "n": cfg.n, "field": cfg.field, **point}
+        key = ",".join(f"{name}={value}" for name, value in point.items())
+        block = []
+        for t, (measured, ms) in enumerate(results[gi * k : (gi + 1) * k]):
+            block.append({**base, "row_type": "trial", "trial": t, **measured})
+            timings.append((cfg.experiment, key, t, ms))
+        rows += block
+        if spec.summary is not None:
+            rows.append({**base, "row_type": "summary", **spec.summary(block)})
     write_csv(cfg.out, cfg, spec.fields, rows)
-    _write_timing(cfg.out, timings)
-    return sum(1 for r in rows if r["row_type"] == "trial" and r.get("converged") is False)
+    with open(cfg.out + ".timing.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["experiment", "key", "trial", "wall_time_ms"])
+        writer.writerows(timings)
+    return sum(1 for measured, _ in results if measured.get("converged") is False)

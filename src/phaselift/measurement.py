@@ -76,12 +76,8 @@ def sample_ensemble(n: int, m: int, model: str, seed: int) -> SensingEnsemble:
     Z = _draw_gaussian(rng, m, n, field)
     if model in SPHERE_MODELS:
         norms = np.linalg.norm(Z, axis=1)
-        bad = norms == 0.0
-        if np.any(bad):
-            Z[bad] = _draw_gaussian(rng, int(bad.sum()), n, field)
-            norms = np.linalg.norm(Z, axis=1)
-            if np.any(norms == 0.0):
-                raise RuntimeError("zero-norm Gaussian draw twice in a row")
+        if np.any(norms == 0.0):
+            raise RuntimeError("zero-norm Gaussian draw; cannot scale it to the unit sphere")
         Z = Z * (1.0 / norms)[:, None]
     return SensingEnsemble(vectors=Z, model=model)
 

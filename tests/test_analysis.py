@@ -57,6 +57,10 @@ class TestMonteCarlo:
         mean, se = rank2_l1_mc(0.0, "real", 1_000_000, seed=2)
         assert abs(mean - 1.0) <= 4 * se
 
+    def test_minimum_samples(self):
+        with pytest.raises(ValueError, match="1000 samples"):
+            rank2_l1_mc(0.5, "real", 999, seed=0)
+
     def test_stderr_rate(self):
         # quadrupling the sample count should halve the standard error
         ratios = []
@@ -106,6 +110,12 @@ class TestL1Isometry:
     def test_requires_m_at_least_n(self):
         with pytest.raises(ValueError):
             l1_isometry_check("real", 16, 8, trials=1, seed=0)
+
+    def test_rejects_unknown_field_and_zero_trials(self):
+        with pytest.raises(ValueError, match="unknown field"):
+            l1_isometry_check("quaternion", 4, 8, trials=1, seed=0)
+        with pytest.raises(ValueError, match="trials"):
+            l1_isometry_check("real", 4, 8, trials=0, seed=0)
 
     def test_requires_n_at_least_two(self):
         # the rank-2 floor draws two orthonormal directions

@@ -125,6 +125,11 @@ class TestBuildCertificate:
         with pytest.raises(ValueError):
             build_certificate(ens, np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_wrong_length_x_rejected(self):
+        ens = sample_ensemble(4, 10, "real-gaussian", 4)
+        with pytest.raises(ValueError, match="length"):
+            build_certificate(ens, np.array([1.0, 0.0, 0.0]))
+
     def test_small_n_warns(self):
         x = np.array([1.0, 0.0])
         ens = sample_ensemble(2, 10, "real-gaussian", 5)

@@ -252,7 +252,7 @@ class TestRecoverySweeps:
             experiment="phase-transition", n=8, m_over_n=[3, 6], trials=2, seed=6, out=str(out)
         )
         written = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "0"):  # 0 or less means one worker
             monkeypatch.setenv("PHASELIFT_THREADS", threads)
             run_experiment(cfg)
             with open(f"{out}.timing.csv") as fh:
@@ -429,16 +429,41 @@ class TestCliEntry:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_output_directory_is_config_error(self, tmp_path, capsys):
-        folder = tmp_path / "missing"
-        out = folder / "x.csv"
-        argv = ["--experiment", "f-curves", "--mc-samples", "1000"]
-        assert main(argv + ["--out", str(out)]) == 2
+    @pytest.mark.parametrize(
+        "out, message",
+        [
+            ("missing/x.csv", "output directory 'missing'"),
+            ("adir", "output path 'adir' does not name a file"),  # an existing directory
+            ("adir/", "output path 'adir/' does not name a file"),
+            ("new/", "output path 'new/' does not name a file"),
+            ("", "output path '' does not name a file"),
+        ],
+    )
+    def test_missing_output_directory_is_config_error(
+        self, out, message, tmp_path, monkeypatch, capsys
+    ):
+        # a missing folder, an existing directory, a trailing separator or an empty path
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        argv = ["--experiment", "rip1-study", "--n", "4", "--trials", "1"]
+        assert main(argv + ["--out", out]) == 2
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"experiment": "f-curves", "mc_samples": 1000, "out": str(out)}))
+        raw = {"experiment": "rip1-study", "n": 4, "trials": 1, "out": out}
+        cfg_path.write_text(json.dumps(raw))
         assert main(["--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err.count(f"output directory {str(folder)!r}") == 2
-        assert not folder.exists() and list(tmp_path.iterdir()) == [cfg_path]
+        assert capsys.readouterr().err.count(message) == 2
+        # no CSV and no timing sidecar anywhere
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "cfg.json"]
+
+    @pytest.mark.parametrize("threads", ["abc", "2.5"])
+    def test_non_integer_thread_count_is_config_error(
+        self, threads, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("PHASELIFT_THREADS", threads)
+        argv = ["--experiment", "rip1-study", "--n", "4", "--trials", "1"]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert f"PHASELIFT_THREADS must be an integer, got {threads!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_m_and_m_over_n_together_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "both.csv"

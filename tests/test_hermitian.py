@@ -211,6 +211,13 @@ class TestConstructors:
             with pytest.raises(ValueError):
                 check(a, field="complex")
 
+    def test_wrong_shapes_rejected(self):
+        for a in (np.ones((2, 2)), np.ones(0)):
+            with pytest.raises(ValueError, match="nonempty 1-d"):
+                as_signal(a)
+        with pytest.raises(ValueError, match="square"):
+            as_hermitian(np.ones((2, 3)))
+
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             as_hermitian(np.eye(2), field="quaternion")

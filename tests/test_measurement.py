@@ -183,6 +183,21 @@ class TestNoise:
     def test_intensity_invariants_enforced(self):
         with pytest.raises(ValueError):
             IntensityData(b=np.ones(3), nu=np.ones(3), eps=0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            IntensityData(b=np.array([-1.0, 1.0]), nu=np.zeros(2), eps=0.0)
+
+    @pytest.mark.parametrize(
+        "b, model, snr_db, match",
+        [
+            ([1.0, -1.0], "gaussian", 20.0, "nonnegative"),
+            ([1.0, 2.0], "laplace", 20.0, "unknown noise model"),
+            ([1.0, 2.0], "gaussian", np.nan, "finite"),
+            ([1.0, 2.0], "gaussian", -np.inf, "finite"),
+        ],
+    )
+    def test_bad_noise_arguments_rejected(self, b, model, snr_db, match):
+        with pytest.raises(ValueError, match=match):
+            add_noise(np.array(b), model, snr_db, seed=0)
 
 
 class TestDistributionalReductions:

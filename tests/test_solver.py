@@ -226,6 +226,20 @@ class TestRegularized:
         with pytest.raises(ValueError):
             solve_regularized(ens, np.zeros(6), lam=-1.0)
 
+    def test_no_iterations_or_wrong_data_length_rejected(self):
+        ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
+        with pytest.raises(ValueError, match="max_iters"):
+            solve_regularized(ens, np.zeros(6), lam=1.0, max_iters=0)
+        with pytest.raises(ValueError, match="data length"):
+            solve_regularized(ens, np.zeros(5), lam=1.0)
+
+    def test_overflowing_objective_raises(self):
+        # 1/2 ||r||^2 of data near 1e200 is inf from the first iterate on
+        ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="finite"):
+                solve_regularized(ens, np.full(6, 1e200), lam=1.0)
+
     @pytest.mark.parametrize("model", ["real-gaussian", "complex-unit-sphere"])
     @pytest.mark.parametrize("warm", [False, True])
     def test_carried_residual_matches_forward_map(self, model, warm):
