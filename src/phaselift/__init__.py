@@ -29,7 +29,6 @@ from .hermitian import (
     as_hermitian,
     as_signal,
     eig,
-    matrix_norms,
     project_tangent,
 )
 from .measurement import (
@@ -72,7 +71,6 @@ __all__ = [
     "estimate_lipschitz",
     "intensities",
     "l1_isometry_check",
-    "matrix_norms",
     "mean_gram",
     "mean_gram_inverse",
     "project_tangent",

@@ -22,7 +22,6 @@ from .hermitian import (
     as_hermitian,
     as_unit_signal,
     field_of,
-    matrix_norms,
     project_tangent,
 )
 from .measurement import (
@@ -95,14 +94,14 @@ def build_certificate(
     ens: SensingEnsemble,
     x: np.ndarray,
     beta: float = DEFAULT_TRUNCATION_BETA,
-    truncate: bool = True,
 ) -> tuple[np.ndarray, float]:
     """Empirical certificate Y = (1/m) sum_i w_i 1_{E_i} z_i z_i* at unit x.
 
     The weights are w_i = <Minv(xx*), z_i z_i*> with Minv the inverse
-    mean Gram map, so E[Y] = xx* without truncation.  The keep event E_i
-    bounds |<x, z_i>| by sqrt(2 beta log n) and ||z_i|| by sqrt(3n);
-    requires a Gaussian ensemble, whose moments the weights assume.
+    mean Gram map, so E[Y] = xx* if every z_i were kept.  The keep event
+    E_i bounds |<x, z_i>| by sqrt(2 beta log n) and ||z_i|| by sqrt(3n);
+    the fraction of measurements it drops is returned with Y.  Requires a
+    Gaussian ensemble, whose moments the weights assume.
     """
     if ens.model not in GAUSSIAN_MODELS:
         raise ValueError("certificate construction requires a Gaussian ensemble")
@@ -116,15 +115,10 @@ def build_certificate(
             "truncation bounds are outside their intended regime"
         )
     w = apply_measurement(ens, mean_gram_inverse(np.outer(x, x.conj()), ens.field))
-    if truncate:
-        keep = (np.sqrt(intensities(ens, x)) <= np.sqrt(2.0 * beta * np.log(n))) & (
-            np.linalg.norm(ens.vectors, axis=1) <= np.sqrt(3.0 * n)
-        )
-        w = w * keep
-        dropped = 1.0 - float(keep.mean())
-    else:
-        dropped = 0.0
-    return apply_adjoint(ens, w) / ens.m, dropped
+    keep = (np.sqrt(intensities(ens, x)) <= np.sqrt(2.0 * beta * np.log(n))) & (
+        np.linalg.norm(ens.vectors, axis=1) <= np.sqrt(3.0 * n)
+    )
+    return apply_adjoint(ens, w * keep) / ens.m, 1.0 - float(keep.mean())
 
 
 def verify_certificate(Y: np.ndarray, x: np.ndarray) -> CertificateReport:
@@ -134,6 +128,6 @@ def verify_certificate(Y: np.ndarray, x: np.ndarray) -> CertificateReport:
     P = project_tangent(x, Y)
     return CertificateReport(
         dist_tangent=float(np.linalg.norm(P - np.outer(x, x.conj()))),
-        opnorm_complement=matrix_norms(Y - P)[2],
+        opnorm_complement=float(np.abs(np.linalg.eigvalsh(Y - P)).max()),
         thresholds=THRESHOLDS[field_of(P)],
     )

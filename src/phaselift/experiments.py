@@ -92,8 +92,9 @@ class ExperimentConfig:
             raise ConfigError(f"{self.experiment} needs n >= 2, got n={self.n}")
         if self.experiment == "rip1-study" and min(self.m or [self.n]) < self.n:
             raise ConfigError(f"rip1-study needs grid m entries >= n={self.n}, got {min(self.m)}")
-        if not os.path.basename(self.out) or os.path.isdir(self.out):
-            raise ConfigError(f"output path {self.out!r} does not name a file")
+        for path in (self.out, self.out + ".timing.csv"):  # the CSV and its timing sidecar
+            if not os.path.basename(path) or os.path.isdir(path):
+                raise ConfigError(f"output path {path!r} does not name a file")
         folder = os.path.dirname(self.out) or "."
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
             raise ConfigError(f"output directory {folder!r} does not exist or is not writable")
@@ -250,7 +251,7 @@ def _certificate_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> d
     ens = sample_ensemble(cfg.n, point["m"], f"{cfg.field}-gaussian", seed)
     x = np.zeros(cfg.n, DTYPES[cfg.field])
     x[0] = 1.0
-    Y, dropped = build_certificate(ens, x, beta=cfg.beta, truncate=True)
+    Y, dropped = build_certificate(ens, x, beta=cfg.beta)
     rep = verify_certificate(Y, x)
     return {
         "seed": seed,

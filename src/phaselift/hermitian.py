@@ -2,8 +2,8 @@
 
 Field dtypes and input checks (finite entries, no complex data in a
 real field, unit-norm anchors); eigendecompositions with a deterministic
-sign convention, spectral norms, and the orthogonal projector onto the
-tangent space of the rank-1 manifold at a unit vector.
+sign convention, and the orthogonal projector onto the tangent space of
+the rank-1 manifold at a unit vector.
 """
 
 from __future__ import annotations
@@ -78,13 +78,6 @@ def eig(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     V = V[:, ::-1]
     pivot = V[np.argmax(np.abs(V) > 1e-12, axis=0), np.arange(V.shape[1])]
     return np.ascontiguousarray(w[::-1]), V * (np.conj(pivot) / np.abs(pivot))
-
-
-def matrix_norms(A: np.ndarray) -> tuple[float, float, float]:
-    """(nuclear, frobenius, operator) norms of a Hermitian matrix."""
-    w = np.linalg.eigvalsh(as_hermitian(A))
-    aw = np.abs(w)
-    return float(aw.sum()), float(np.sqrt((aw**2).sum())), float(aw.max())
 
 
 def project_tangent(x: np.ndarray, H: np.ndarray) -> np.ndarray:

@@ -44,18 +44,23 @@ class SensingEnsemble:
 
 @dataclass(frozen=True)
 class IntensityData:
-    """Measured intensities b, the noise realization nu, and its l2 bound eps."""
+    """Measured intensities b and the l2 bound eps on their noise, all the solver reads.
+
+    Clean intensities are nonnegative and the noise has norm at most eps,
+    so no b_i may lie below -eps (up to round-off).
+    """
 
     b: np.ndarray
-    nu: np.ndarray
     eps: float
 
     def __post_init__(self):
-        nrm = float(np.linalg.norm(self.nu))
-        if nrm > self.eps * (1 + 1e-9) + 1e-300:
-            raise ValueError("noise norm exceeds the stated bound eps")
-        if np.any(self.b - self.nu < -1e-9 * max(1.0, float(np.abs(self.b).max(initial=0.0)))):
-            raise ValueError("clean intensities b - nu must be nonnegative")
+        b = np.asarray(self.b)
+        if b.ndim != 1 or not np.all(np.isfinite(b)):
+            raise ValueError("intensities b must be a finite 1-d vector")
+        if not self.eps >= 0:
+            raise ValueError(f"noise bound eps must be nonnegative, got {self.eps}")
+        if np.any(b < -self.eps - 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0)))):
+            raise ValueError("clean intensities must be nonnegative, but some b_i < -eps")
 
 
 def _draw_gaussian(rng: np.random.Generator, m: int, n: int, field: str) -> np.ndarray:
@@ -114,8 +119,8 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
     """Corrupt clean intensities with noise rescaled to an exact SNR.
 
     The realized noise nu is scaled so 10*log10(||b_clean||^2 / ||nu||^2)
-    equals snr_db (measurement-relative SNR).  snr_db = +inf or model
-    'none' yields nu = 0.
+    equals snr_db (measurement-relative SNR); the record is b = b_clean + nu
+    with eps = ||nu||.  snr_db = +inf or model 'none' yields nu = 0.
     """
     b_clean = np.asarray(b_clean, dtype=np.float64)
     if np.any(b_clean < 0):
@@ -123,8 +128,7 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
     if model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {model!r}")
     if model == "none" or np.isposinf(snr_db):
-        z = np.zeros_like(b_clean)
-        return IntensityData(b=b_clean.copy(), nu=z, eps=0.0)
+        return IntensityData(b=b_clean.copy(), eps=0.0)
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
     ref = float(np.sum(b_clean**2))
@@ -140,7 +144,7 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
     nrm = float(np.linalg.norm(nu))
     if nrm == 0.0:
         # degenerate draw (e.g. all-zero rates); nothing to rescale
-        return IntensityData(b=b_clean.copy(), nu=nu, eps=0.0)
+        return IntensityData(b=b_clean.copy(), eps=0.0)
     nu *= target / nrm
-    return IntensityData(b=b_clean + nu, nu=nu, eps=float(np.linalg.norm(nu)))
+    return IntensityData(b=b_clean + nu, eps=float(np.linalg.norm(nu)))
 

@@ -17,7 +17,6 @@ PSD_EXTRACTION_RTOL = 1e-6
 class RecoveryResult:
     x_hat: np.ndarray
     x_hat_debiased: np.ndarray
-    spectrum: np.ndarray
     rel_mse: float | None = None
     rel_rms: float | None = None
 
@@ -78,7 +77,6 @@ def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResu
     return RecoveryResult(
         x_hat=x_hat,
         x_hat_debiased=debias(x_hat, w),
-        spectrum=w,
         rel_mse=err,
         rel_rms=err_rms,
     )

@@ -3,6 +3,14 @@
 import numpy as np
 
 
+def random_hermitian(n, field, rng):
+    """A Hermitian matrix whose entries are standard normal draws (real and imaginary parts)."""
+    A = rng.standard_normal((n, n))
+    if field == "complex":
+        A = A + 1j * rng.standard_normal((n, n))
+    return (A + A.conj().T) / 2
+
+
 def plain_proximal_gradient(ens, b, lam, step, iters):
     """Unaccelerated projected proximal gradient, fixed step, from zero.
 

@@ -9,14 +9,20 @@ from phaselift.certificate import (
     mean_gram_inverse,
     verify_certificate,
 )
-from phaselift.measurement import SensingEnsemble, apply_adjoint, sample_ensemble
+from phaselift.measurement import (
+    SensingEnsemble,
+    apply_adjoint,
+    apply_measurement,
+    sample_ensemble,
+)
+
+from oracles import random_hermitian
 
 
-def random_hermitian(n, field, rng):
-    A = rng.standard_normal((n, n))
-    if field == "complex":
-        A = A + 1j * rng.standard_normal((n, n))
-    return (A + A.conj().T) / 2
+def untruncated_certificate(ens, x):
+    """(1/m) sum_i w_i z_i z_i* with every measurement kept, so E[Y] = xx*."""
+    w = apply_measurement(ens, mean_gram_inverse(np.outer(x, x.conj()), ens.field))
+    return apply_adjoint(ens, w) / ens.m
 
 
 class TestMeanGram:
@@ -99,19 +105,23 @@ class TestBuildCertificate:
         x = np.zeros(8)
         x[0] = 1.0
         ens = sample_ensemble(8, 100_000, "real-gaussian", 1)
-        Y, frac = build_certificate(ens, x, truncate=False)
-        assert frac == 0.0
-        rep = verify_certificate(Y, x)
+        rep = verify_certificate(untruncated_certificate(ens, x), x)
         assert rep.dist_tangent <= 0.1
 
     def test_in_range_of_adjoint(self):
         x = np.zeros(6)
         x[0] = 1.0
         ens = sample_ensemble(6, 50, "real-gaussian", 2)
-        Y, _ = build_certificate(ens, x, truncate=False)
-        M = mean_gram_inverse(np.outer(x, x), "real")
-        w = np.einsum("ij,jk,ik->i", ens.vectors, M, ens.vectors)
-        assert np.abs(Y - apply_adjoint(ens, w) / ens.m).max() <= 1e-12
+        Y, frac = build_certificate(ens, x, beta=1.0)
+        Z = ens.vectors
+        w = np.einsum("ij,jk,ik->i", Z, mean_gram_inverse(np.outer(x, x), "real"), Z)
+        # keep event at beta = 1, n = 6: |<x, z_i>| <= sqrt(2 log 6) and ||z_i|| <= sqrt(18)
+        keep = np.abs(Z @ x) <= np.sqrt(2.0 * np.log(6))
+        keep &= np.linalg.norm(Z, axis=1) <= np.sqrt(18.0)
+        assert 0.0 < frac == 1.0 - keep.mean()
+        assert np.abs(Y - apply_adjoint(ens, w * keep) / ens.m).max() <= 1e-12
+        Y_all = untruncated_certificate(ens, x)
+        assert np.abs(Y_all - apply_adjoint(ens, w) / ens.m).max() <= 1e-12
 
     def test_sphere_ensembles_rejected(self):
         x = np.zeros(4)
@@ -145,8 +155,7 @@ class TestBuildCertificate:
             dists = []
             for seed in range(20):
                 ens = sample_ensemble(n, m_mult * n, "real-gaussian", 1000 * m_mult + seed)
-                Y, _ = build_certificate(ens, x, truncate=False)
-                dists.append(verify_certificate(Y, x).dist_tangent)
+                dists.append(verify_certificate(untruncated_certificate(ens, x), x).dist_tangent)
             medians.append(np.median(dists))
         assert np.all(np.diff(medians) < 0)
 
@@ -193,6 +202,13 @@ class TestVerify:
         rep = verify_certificate(Y, x)
         assert rep.opnorm_complement == pytest.approx(0.6, abs=1e-10)
         assert not rep.passed
+
+    def test_complement_norm_reads_negative_eigenvalues(self):
+        # complement eigenvalues -0.7 and 0.3: the operator norm is the larger modulus
+        rng = np.random.default_rng(10)
+        x, u, v = np.linalg.qr(rng.standard_normal((5, 3)))[0].T
+        Y = np.outer(x, x) - 0.7 * np.outer(u, u) + 0.3 * np.outer(v, v)
+        assert verify_certificate(Y, x).opnorm_complement == pytest.approx(0.7, abs=1e-10)
 
     def test_thresholds_per_field(self):
         x = np.zeros(4)

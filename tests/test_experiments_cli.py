@@ -437,14 +437,17 @@ class TestCliEntry:
             ("adir/", "output path 'adir/' does not name a file"),
             ("new/", "output path 'new/' does not name a file"),
             ("", "output path '' does not name a file"),
+            ("x.csv", "output path 'x.csv.timing.csv' does not name a file"),  # sidecar
         ],
     )
     def test_missing_output_directory_is_config_error(
         self, out, message, tmp_path, monkeypatch, capsys
     ):
-        # a missing folder, an existing directory, a trailing separator or an empty path
+        # a missing folder, an existing directory, a trailing separator, an empty path,
+        # or a timing sidecar path that is an existing directory
         monkeypatch.chdir(tmp_path)
         (tmp_path / "adir").mkdir()
+        (tmp_path / "x.csv.timing.csv").mkdir()
         argv = ["--experiment", "rip1-study", "--n", "4", "--trials", "1"]
         assert main(argv + ["--out", out]) == 2
         cfg_path = tmp_path / "cfg.json"
@@ -453,7 +456,8 @@ class TestCliEntry:
         assert main(["--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.count(message) == 2
         # no CSV and no timing sidecar anywhere
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "cfg.json"]
+        names = sorted(p.name for p in tmp_path.rglob("*"))
+        assert names == ["adir", "cfg.json", "x.csv.timing.csv"]
 
     @pytest.mark.parametrize("threads", ["abc", "2.5"])
     def test_non_integer_thread_count_is_config_error(

@@ -7,16 +7,10 @@ from phaselift.hermitian import (
     as_hermitian,
     as_signal,
     eig,
-    matrix_norms,
     project_tangent,
 )
 
-
-def random_hermitian(n, field, rng):
-    A = rng.standard_normal((n, n))
-    if field == "complex":
-        A = A + 1j * rng.standard_normal((n, n))
-    return (A + A.conj().T) / 2
+from oracles import random_hermitian
 
 
 class TestEig:
@@ -61,33 +55,6 @@ class TestEig:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-
-class TestNorms:
-    def test_hand_diagonal(self):
-        nuc, fro, op = matrix_norms(np.diag([1.0, -2.0]))
-        assert nuc == pytest.approx(3.0)
-        assert fro == pytest.approx(np.sqrt(5.0))
-        assert op == pytest.approx(2.0)
-
-    def test_zero(self):
-        assert matrix_norms(np.zeros((4, 4))) == (0.0, 0.0, 0.0)
-
-    def test_rank1_unit(self):
-        u = np.array([0.6, 0.8])
-        nuc, fro, op = matrix_norms(np.outer(u, u))
-        assert nuc == pytest.approx(1.0)
-        assert fro == pytest.approx(1.0)
-        assert op == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_consistency_chain(self, field):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            n = int(rng.integers(1, 7))
-            nuc, fro, op = matrix_norms(random_hermitian(n, field, rng))
-            assert nuc >= fro - 1e-12 >= op - 2e-12
-            assert nuc <= n * op + 1e-12
 
 
 def tangent_basis_projection(x, H):

@@ -148,13 +148,13 @@ class TestNoise:
     def test_none(self):
         b = np.array([1.0, 2.0, 3.0])
         data = add_noise(b, "none", 20.0, seed=0)
-        assert data.eps == 0.0 and np.array_equal(data.b, b) and not data.nu.any()
+        assert data.eps == 0.0 and np.array_equal(data.b, b)
 
     def test_gaussian_exact_snr(self):
         rng = np.random.default_rng(11)
         b = rng.uniform(0.5, 2.0, size=50)
         data = add_noise(b, "gaussian", 20.0, seed=1)
-        realized = 10 * np.log10(np.sum(b**2) / np.sum(data.nu**2))
+        realized = 10 * np.log10(np.sum(b**2) / np.sum((data.b - b) ** 2))
         assert realized == pytest.approx(20.0, abs=1e-9)
 
     def test_poisson_zero_rates(self):
@@ -162,15 +162,15 @@ class TestNoise:
         b = np.zeros(10)
         b[-1] = 1.0
         data = add_noise(b, "poisson", 10.0, seed=0)
-        assert not data.nu.any() and data.eps == 0.0 and np.array_equal(data.b, b)
+        assert data.eps == 0.0 and np.array_equal(data.b, b)
 
     def test_poisson_exact_snr(self):
         rng = np.random.default_rng(12)
         b = rng.uniform(1.0, 30.0, size=200)
         data = add_noise(b, "poisson", 15.0, seed=3)
-        realized = 10 * np.log10(np.sum(b**2) / np.sum(data.nu**2))
+        realized = 10 * np.log10(np.sum(b**2) / np.sum((data.b - b) ** 2))
         assert realized == pytest.approx(15.0, abs=1e-9)
-        assert np.all(data.b - data.nu >= 0)
+        assert np.linalg.norm(data.b - b) == pytest.approx(data.eps, rel=1e-12)
 
     def test_infinite_snr(self):
         data = add_noise(np.ones(5), "gaussian", np.inf, seed=5)
@@ -181,10 +181,32 @@ class TestNoise:
             add_noise(np.zeros(5), "gaussian", 10.0, seed=6)
 
     def test_intensity_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            IntensityData(b=np.ones(3), nu=np.ones(3), eps=0.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            IntensityData(b=np.array([-1.0, 1.0]), nu=np.zeros(2), eps=0.0)
+            IntensityData(b=np.array([-1.0, 1.0]), eps=0.0)
+
+    @pytest.mark.parametrize(
+        "b, eps, match",
+        [
+            ([1.0, 2.0], np.nan, "eps must be nonnegative, got nan"),
+            ([1.0, 2.0], -0.5, "eps must be nonnegative, got -0.5"),
+            ([1.0, np.nan], 0.1, "b must be a finite 1-d vector"),
+            ([np.inf, 2.0], 0.1, "b must be a finite 1-d vector"),
+            ([[1.0, 2.0]], 0.1, "b must be a finite 1-d vector"),
+            ([1.0, -0.2], 0.1, "nonnegative, but some b_i < -eps"),
+        ],
+    )
+    def test_bad_intensity_record_rejected(self, b, eps, match):
+        with pytest.raises(ValueError, match=match):
+            IntensityData(b=np.array(b), eps=eps)
+
+    def test_entries_down_to_minus_eps_accepted(self):
+        # noise of norm eps can push a zero intensity to -eps, but not below
+        IntensityData(b=np.array([-0.1, 2.0]), eps=0.1)
+        rng = np.random.default_rng(13)
+        b = np.zeros(40)
+        b[:5] = rng.uniform(1.0, 2.0, size=5)
+        data = add_noise(b, "gaussian", 0.0, seed=7)
+        assert data.b.min() < 0.0 and data.b.min() >= -data.eps
 
     @pytest.mark.parametrize(
         "b, model, snr_db, match",

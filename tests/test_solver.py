@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaselift.hermitian import matrix_norms
 from phaselift.measurement import (
     MODELS,
     IntensityData,
@@ -25,14 +24,7 @@ from phaselift.solver import (
     zero_solution_lambda,
 )
 
-from oracles import capped_prox, gram_lambda_max, plain_proximal_gradient
-
-
-def _random_hermitian(rng, n, field):
-    V = rng.standard_normal((n, n))
-    if field == "complex":
-        V = V + 1j * rng.standard_normal((n, n))
-    return (V + V.conj().T) / 2
+from oracles import capped_prox, gram_lambda_max, plain_proximal_gradient, random_hermitian
 
 
 def _count_probes(monkeypatch):
@@ -100,7 +92,7 @@ class TestProx:
         cap=st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
     )
     def test_capped_prox_matches_bisection_oracle(self, field, n, seed, shift, cap):
-        V = 3.0 * _random_hermitian(np.random.default_rng(seed), n, field)
+        V = 3.0 * random_hermitian(n, field, np.random.default_rng(seed))
         out = prox_psd_trace(V, shift, cap)
         scale = max(1.0, np.linalg.norm(V))
         assert np.linalg.eigvalsh(out).min() >= -1e-12 * scale
@@ -110,7 +102,7 @@ class TestProx:
     @settings(max_examples=40, deadline=None)
     @given(field=st.sampled_from(["real", "complex"]), n=st.integers(1, 8), seed=st.integers(0, 2**16))
     def test_infinite_cap_is_bitwise_uncapped_prox(self, field, n, seed):
-        V = _random_hermitian(np.random.default_rng(seed), n, field)
+        V = random_hermitian(n, field, np.random.default_rng(seed))
         for shift in (0.0, 0.3):
             expected = capped_prox(V, shift)
             assert np.array_equal(prox_psd_trace(V, shift, np.inf), expected)
@@ -345,7 +337,7 @@ class TestConstrained:
         ens = sample_ensemble(4, 12, "real-gaussian", seed=10)
         rng = np.random.default_rng(7)
         b = rng.uniform(0.0, 1.0, size=12)
-        data = IntensityData(b=b, nu=np.zeros(12), eps=2.0 * np.linalg.norm(b))
+        data = IntensityData(b=b, eps=2.0 * np.linalg.norm(b))
         rep = solve_constrained(ens, data)
         assert np.abs(rep.X_hat).max() == 0.0 and rep.converged
 
@@ -354,7 +346,7 @@ class TestConstrained:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         b = intensities(ens, x)
-        data = IntensityData(b=b, nu=np.zeros_like(b), eps=0.0)
+        data = IntensityData(b=b, eps=0.0)
         rep = solve_constrained(ens, data)
         target = np.outer(x, x.conj())
         assert np.linalg.norm(rep.X_hat - target) <= 1e-3 * np.linalg.norm(target)
@@ -402,7 +394,7 @@ class TestConstrained:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(4)
         b = intensities(ens, x) + rng.uniform(0.2, 0.5, size=24)
-        data = IntensityData(b=b, nu=np.zeros(24), eps=0.0)
+        data = IntensityData(b=b, eps=0.0)
         rep = solve_constrained(ens, data)
         assert not rep.converged
         assert rep.residual > NOISELESS_EPS_REL * np.linalg.norm(b)
@@ -420,7 +412,7 @@ class TestConstrained:
         monkeypatch.setattr(solver, "solve_regularized", counted)
         ens = sample_ensemble(8, 48, "real-unit-sphere", seed=19)
         b = intensities(ens, np.random.default_rng(15).standard_normal(8))
-        rep = solve_constrained(ens, IntensityData(b=b, nu=np.zeros_like(b), eps=0.0))
+        rep = solve_constrained(ens, IntensityData(b=b, eps=0.0))
         assert len(probes) == 1
         assert rep.converged
         assert rep.residual <= NOISELESS_EPS_REL * np.linalg.norm(b)
@@ -444,7 +436,7 @@ class TestConstrained:
         rng = np.random.default_rng(11)
         b = intensities(ens, rng.standard_normal(4)) + rng.uniform(0.2, 0.5, size=24)
         eps = eps_rel * np.linalg.norm(b)
-        rep = solve_constrained(ens, IntensityData(b=b, nu=np.zeros(24), eps=eps))
+        rep = solve_constrained(ens, IntensityData(b=b, eps=eps))
         assert not rep.converged
         assert rep.residual > eps
         assert len(probes) <= 10
@@ -462,8 +454,8 @@ class TestConstrained:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if ens.field == "complex" else 0)
         b = intensities(ens, x)
-        data = add_noise(b, "gaussian", 30.0, seed=seed) if noisy else IntensityData(b, 0 * b, 0.0)
+        data = add_noise(b, "gaussian", 30.0, seed=seed) if noisy else IntensityData(b, 0.0)
         ref = solve_constrained(ens, data)
-        scaled = solve_constrained(ens, IntensityData(c * data.b, c * data.nu, c * data.eps))
+        scaled = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
         assert scaled.iterations == ref.iterations
         assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
