@@ -18,7 +18,7 @@ from .measurement import SensingEnsemble, _draw_gaussian, intensities
 
 def _check_t(t):
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((t >= 0) & (t <= 1)):  # a NaN fails both comparisons
         raise ValueError("t must lie in [0, 1]")
     return t
 
@@ -36,17 +36,21 @@ def rank2_l1_mean_complex(t):
     return (1.0 + t**2) / (1.0 + t)
 
 
-def rank2_l1_mc(t: float, field: str, num_samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate (mean, stderr) of the rank-2 l1 moment at t."""
+def rank2_l1_mc(t, field: str, num_samples: int, seed: int):
+    """Monte Carlo estimate (mean, stderr) of the rank-2 l1 moment at t.
+
+    An array t gives two arrays of its shape, all from one shared draw of
+    (Z1, Z2) (common random numbers): entry j is the scalar call at t[j].
+    """
     if num_samples < 1000:
         raise ValueError("need at least 1000 samples")
-    _check_t(t)
-    rng = substream(seed, 4)
-    Z = _draw_gaussian(rng, num_samples, 2, field)
-    xi = np.abs(np.abs(Z[:, 0]) ** 2 - t * np.abs(Z[:, 1]) ** 2)
-    mean = float(xi.mean())
-    stderr = float(xi.std(ddof=1) / np.sqrt(num_samples))
-    return mean, stderr
+    ts = _check_t(t)
+    Z = _draw_gaussian(substream(seed, 4), num_samples, 2, field)
+    a, b = (intensities(SensingEnsemble(Z, f"{field}-gaussian"), e) for e in np.eye(2))
+    xis = (np.abs(a - x * b) for x in ts.flat)  # one t at a time: no (t, sample) matrix
+    stats = np.array([(xi.mean(), xi.std(ddof=1) / np.sqrt(num_samples)) for xi in xis])
+    means, stderrs = stats.T.reshape((2,) + ts.shape)
+    return (float(means), float(stderrs)) if ts.ndim == 0 else (means, stderrs)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Batch experiments emitting deterministic CSV, all through one grid driver.
 
-Every experiment is a grid of points, k seeded trials per point and at
-most one summary row per point; it declares only its default axes, its
-trial and summary functions, and `run_experiment` does the rest.  A
-point holds the columns fixed over its block of trials (m, and for the
-recovery experiments snr_db and the noise model in effect).  Each trial
-draws from its own substream keyed by (seed, grid index, trial), trials
-run in a worker pool, and rows are written in grid order, so re-runs
-produce byte-identical CSVs.  A summary row covers only the
-trial rows directly above it.  Wall-clock timings go to a sidecar file
-(<out>.timing.csv) to keep the main CSV reproducible.
+Every experiment is a grid of points, k seeded trials per point and at most
+one summary row per point; it declares only its default axes, its trial and
+summary functions, and `run_experiment` does the rest.  A point holds the
+columns fixed over its block of trials (m, and for the recovery experiments
+snr_db and the noise model in effect); f-curves is one point with no columns,
+whose one trial returns a row per t.  Each trial draws from its own substream
+keyed by (seed, grid index, trial), trials run in a worker pool, and rows are
+written in grid order, so re-runs produce byte-identical CSVs.  A summary row
+covers only the trial rows directly above it.  Wall-clock timings go to a
+sidecar file (<out>.timing.csv) to keep the main CSV reproducible.
 """
 
 from __future__ import annotations
@@ -289,18 +289,19 @@ def _rip1_summary(block: list[dict]) -> dict:
     }
 
 
-def _f_curve_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> dict:
+def _f_curve_trial(cfg: ExperimentConfig, point: dict, gi: int, t: int) -> list[dict]:
+    """One row per t in [0, 1], all 101 evaluated on one Monte Carlo draw."""
     closed = rank2_l1_mean_real if cfg.field == REAL else rank2_l1_mean_complex
-    seed = child_seed(cfg.seed, gi, t, 1)
-    mean, stderr = rank2_l1_mc(point["t"], cfg.field, cfg.mc_samples, seed)
-    return {"f_closed": float(closed(point["t"])), "mc_mean": mean, "mc_stderr": stderr}
+    ts = np.linspace(0.0, 1.0, 101)
+    mc = zip(ts, *rank2_l1_mc(ts, cfg.field, cfg.mc_samples, child_seed(cfg.seed, gi, t, 1)))
+    return [dict(t=x, f_closed=float(closed(x)), mc_mean=mu, mc_stderr=se) for x, mu, se in mc]
 
 
 class _Experiment(NamedTuple):
     fields: list[str]
-    trial: Callable[..., dict]
+    trial: Callable[..., dict | list[dict]]  # a trial's row, or (f-curves) its rows
     summary: Callable[[list[dict]], dict] | None
-    ratios: tuple[int, ...] | None  # default m/n axis; None: the t grid of f-curves
+    ratios: tuple[int, ...] | None  # default m/n axis; None: one point with no columns
     snrs: tuple[float, ...] | None = None  # default SNR axis in dB; None: no SNR axis
     trials: int | None = None  # trials per grid point, when fixed rather than cfg.trials
 
@@ -335,7 +336,7 @@ def _points(cfg: ExperimentConfig, spec: _Experiment) -> list[dict]:
     its noise model: `cfg.noise`, or "none" where the SNR is inf.
     """
     if spec.ratios is None:
-        return [{"t": float(t)} for t in np.linspace(0.0, 1.0, 101)]
+        return [{}]
     ms = sorted(cfg.m or [int(r * cfg.n) for r in cfg.m_over_n or spec.ratios])
     if spec.snrs is None:
         return [{"m": m} for m in ms]
@@ -369,7 +370,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         key = ",".join(f"{name}={value}" for name, value in point.items())
         block = []
         for t, (measured, ms) in enumerate(results[gi * k : (gi + 1) * k]):
-            block.append({**base, "row_type": "trial", "trial": t, **measured})
+            for row in measured if isinstance(measured, list) else [measured]:
+                block.append({**base, "row_type": "trial", "trial": t, **row})
             timings.append((cfg.experiment, key, t, ms))
         rows += block
         if spec.summary is not None:
@@ -379,4 +381,4 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         writer = csv.writer(fh)
         writer.writerow(["experiment", "key", "trial", "wall_time_ms"])
         writer.writerows(timings)
-    return sum(1 for measured, _ in results if measured.get("converged") is False)
+    return sum(1 for row in rows if row.get("converged") is False)

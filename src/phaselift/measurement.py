@@ -123,18 +123,20 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
     with eps = ||nu||.  snr_db = +inf or model 'none' yields nu = 0.
     """
     b_clean = np.asarray(b_clean, dtype=np.float64)
-    if np.any(b_clean < 0):
-        raise ValueError("clean intensities must be nonnegative")
+    bad = b_clean[~((b_clean >= 0) & (b_clean < np.inf))]  # a NaN fails both comparisons
+    if bad.size:
+        raise ValueError(f"clean intensities must be finite and nonnegative, got {bad}")
     if model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {model!r}")
     if model == "none" or np.isposinf(snr_db):
         return IntensityData(b=b_clean.copy(), eps=0.0)
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
-    ref = float(np.sum(b_clean**2))
+    e = max(0, int(np.frexp(b_clean.max(initial=0.0))[1]))  # b / 2^e is exact, its squares finite
+    ref = float(np.sum(np.ldexp(b_clean, -e) ** 2))
     if ref <= 0:
         raise ValueError("cannot set a finite SNR against zero-power intensities")
-    target = np.sqrt(ref) * 10.0 ** (-snr_db / 20.0)
+    target = float(np.ldexp(np.sqrt(ref) * 10.0 ** (-snr_db / 20.0), e))
 
     rng = substream(seed, 1)
     if model == "gaussian":
@@ -146,5 +148,5 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
         # degenerate draw (e.g. all-zero rates); nothing to rescale
         return IntensityData(b=b_clean.copy(), eps=0.0)
     nu *= target / nrm
-    return IntensityData(b=b_clean + nu, eps=float(np.linalg.norm(nu)))
+    return IntensityData(b=b_clean + nu, eps=float(np.ldexp(np.linalg.norm(np.ldexp(nu, -e)), e)))
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaselift.analysis import (
     l1_isometry_check,
@@ -60,6 +62,29 @@ class TestMonteCarlo:
     def test_minimum_samples(self):
         with pytest.raises(ValueError, match="1000 samples"):
             rank2_l1_mc(0.5, "real", 999, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        ts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_array_t_matches_scalar_calls(self, field, ts, seed):
+        # one shared draw: entry j is the scalar call at t_j with the same seed, bit for bit
+        means, stderrs = rank2_l1_mc(np.array(ts), field, 1000, seed)
+        assert means.shape == stderrs.shape == (len(ts),)
+        for j, t in enumerate(ts):
+            assert rank2_l1_mc(t, field, 1000, seed) == (means[j], stderrs[j])
+
+    def test_array_t_keeps_its_shape(self):
+        means, stderrs = rank2_l1_mc(np.array([[0.0, 0.5], [0.25, 1.0]]), "complex", 1000, seed=3)
+        assert means.shape == stderrs.shape == (2, 2)
+        assert means[0, 1] == rank2_l1_mc(0.5, "complex", 1000, seed=3)[0]
+
+    @pytest.mark.parametrize("bad", [1.5, -0.25, np.nan])
+    def test_array_t_entry_out_of_range(self, bad):
+        with pytest.raises(ValueError, match=r"t must lie in \[0, 1\]"):
+            rank2_l1_mc(np.array([0.0, 0.5, bad]), "real", 1000, seed=0)
 
     def test_stderr_rate(self):
         # quadrupling the sample count should halve the standard error

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import phaselift.analysis
+from phaselift._rng import child_seed
+from phaselift.analysis import rank2_l1_mc
 from phaselift.cli import build_parser, config_from_args, main
 from phaselift.experiments import (
     CHOICES,
@@ -135,6 +138,33 @@ class TestFCurves:
         cfg = ExperimentConfig(experiment="f-curves", mc_samples=1000, out=str(out))
         run_experiment(cfg)
         assert (tmp_path / "c.csv.timing.csv").exists()
+
+    def test_one_draw_per_run(self, tmp_path, monkeypatch):
+        draws = []
+        original = phaselift.analysis._draw_gaussian
+
+        def counted(*args):
+            draws.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(phaselift.analysis, "_draw_gaussian", counted)
+        cfg = ExperimentConfig(experiment="f-curves", mc_samples=1000, out=str(tmp_path / "d.csv"))
+        run_experiment(cfg)
+        assert len(draws) == 1
+        _, rows = read_csv(tmp_path / "d.csv")
+        assert len(rows) == 101
+        # its one trial writes one sidecar row
+        assert len((tmp_path / "d.csv.timing.csv").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_t_zero_row_is_the_scalar_estimate(self, tmp_path, field):
+        out = tmp_path / "e.csv"
+        cfg = ExperimentConfig(experiment="f-curves", field=field, mc_samples=2000, seed=7, out=str(out))
+        run_experiment(cfg)
+        _, rows = read_csv(out)
+        mean, stderr = rank2_l1_mc(0.0, field, 2000, child_seed(7, 0, 0, 1))
+        assert rows[0]["t"] == "0.0"
+        assert (rows[0]["mc_mean"], rows[0]["mc_stderr"]) == (repr(mean), repr(stderr))
 
 
 class TestRecoverySweeps:

@@ -221,6 +221,22 @@ class TestNoise:
         with pytest.raises(ValueError, match=match):
             add_noise(np.array(b), model, snr_db, seed=0)
 
+    @pytest.mark.parametrize("model", ["gaussian", "poisson", "none"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, -np.inf])
+    def test_non_finite_clean_intensities_rejected(self, bad, model):
+        with pytest.raises(ValueError, match=rf"must be finite and nonnegative, got \[{bad}\]"):
+            add_noise(np.array([bad, 1.0]), model, 20.0, seed=0)
+
+    @pytest.mark.parametrize("top", [1e200, 1e300])
+    def test_huge_intensities_keep_the_exact_snr(self, top):
+        # ||b||^2 overflows float64, so the SNR is set on b scaled by a power of two
+        b = np.array([top, 1.0, 0.0])
+        data = add_noise(b, "gaussian", 20.0, seed=0)
+        nu = (data.b - b) / top
+        assert np.linalg.norm(nu) * top == pytest.approx(data.eps, rel=1e-14)
+        realized = 20 * np.log10(np.linalg.norm(b / top) / np.linalg.norm(nu))
+        assert realized == pytest.approx(20.0, abs=1e-9)
+
 
 class TestDistributionalReductions:
     def test_rotation_invariance_ks(self):
