@@ -136,17 +136,21 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
     ref = float(np.sum(np.ldexp(b_clean, -e) ** 2))
     if ref <= 0:
         raise ValueError("cannot set a finite SNR against zero-power intensities")
-    target = float(np.ldexp(np.sqrt(ref) * 10.0 ** (-snr_db / 20.0), e))
-
     rng = substream(seed, 1)
     if model == "gaussian":
         nu = rng.standard_normal(b_clean.size)
     else:  # poisson
-        nu = rng.poisson(b_clean).astype(np.float64) - b_clean
+        try:
+            nu = rng.poisson(b_clean).astype(np.float64) - b_clean
+        except ValueError as err:  # numpy's "lam value too large", past ~9.2e18
+            raise ValueError(f"Poisson rate {b_clean.max():.3g} is past numpy's: {err}") from None
     nrm = float(np.linalg.norm(nu))
     if nrm == 0.0:
         # degenerate draw (e.g. all-zero rates); nothing to rescale
         return IntensityData(b=b_clean.copy(), eps=0.0)
-    nu *= target / nrm
-    return IntensityData(b=b_clean + nu, eps=float(np.ldexp(np.linalg.norm(np.ldexp(nu, -e)), e)))
-
+    with np.errstate(over="ignore"):  # a noise norm or record past float64 is reported below
+        nu *= np.ldexp(np.sqrt(ref) * 10.0 ** (-snr_db / 20.0), e) / nrm
+        b = b_clean + nu
+    if not np.all(np.isfinite(b)):
+        raise ValueError(f"noise at {snr_db} dB takes the noisy intensities past float64")
+    return IntensityData(b=b, eps=float(np.ldexp(np.linalg.norm(np.ldexp(nu, -e)), e)))

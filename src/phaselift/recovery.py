@@ -67,7 +67,7 @@ def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResu
     if w[-1] < -PSD_EXTRACTION_RTOL * max(float(np.linalg.norm(w)), 1e-300):
         raise ValueError("matrix is significantly non-PSD; cannot extract a rank-1 component")
     lam1 = max(float(w[0]), 0.0)
-    if V.shape[0] > 1 and lam1 > 0.0 and w[0] - w[1] <= 1e-9 * max(1.0, lam1):
+    if V.shape[0] > 1 and lam1 > 0.0 and w[0] - w[1] <= 1e-9 * lam1:
         warnings.warn("top eigenvalue is nearly degenerate; rank-1 extraction is ill-posed")
     x_hat = np.sqrt(lam1) * V[:, 0]
     err = err_rms = None

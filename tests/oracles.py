@@ -11,36 +11,48 @@ def random_hermitian(n, field, rng):
     return (A + A.conj().T) / 2
 
 
-def plain_proximal_gradient(ens, b, lam, step, iters):
-    """Unaccelerated projected proximal gradient, fixed step, from zero.
+def plain_proximal_gradient(ensembles, bs, lams, steps, iters):
+    """Unaccelerated projected proximal gradient, fixed step, from zero, on k instances of
+    one shape at once: each step makes one stacked eigh; returns the k final X and objectives.
 
     It shares no code with the solver: the measurement map is the lifted
     m x n^2 matrix whose row i is conj(z_i) kron z_i, so that row i times
     vec(X) is z_i* X z_i, and its adjoint is the conjugate transpose.
     """
-    Z, n = ens.vectors, ens.n
-    A = np.einsum("ij,ik->ijk", Z.conj(), Z).reshape(ens.m, n * n)
-    AH = A.conj().T
-    X = np.zeros((n, n), dtype=Z.dtype)
+    k, n = len(ensembles), ensembles[0].n
+    A = np.stack([np.einsum("ij,ik->ijk", e.vectors.conj(), e.vectors) for e in ensembles])
+    A = A.reshape(k, -1, n * n)
+    AH = A.conj().transpose(0, 2, 1)
+    b, lam = np.asarray(bs, dtype=float), np.asarray(lams, dtype=float)
+    step = np.asarray(steps, dtype=float)[:, None, None]
+
+    def residual(X):
+        return (A @ X.reshape(k, n * n, 1))[..., 0].real - b
+
+    X = np.zeros((k, n, n), dtype=A.dtype)
     for _ in range(iters):
-        grad = (AH @ ((A @ X.ravel()).real - b)).reshape(n, n)
-        X = capped_prox(X - step * grad, step * lam)
-    r = (A @ X.ravel()).real - b
-    obj = 0.5 * float(r @ r) + lam * float(np.trace(X).real)
-    return X, obj
+        V = X - step * (AH @ residual(X)[..., None]).reshape(k, n, n)
+        w, U = np.linalg.eigh((V + V.conj().transpose(0, 2, 1)) / 2)
+        w = np.maximum(w - step[..., 0] * lam[:, None], 0.0)
+        X = (U * w[:, None, :]) @ U.conj().transpose(0, 2, 1)
+        X = (X + X.conj().transpose(0, 2, 1)) / 2
+    r = residual(X)
+    return X, 0.5 * np.sum(r * r, axis=1) + lam * np.trace(X, axis1=1, axis2=2).real
 
 
 def capped_prox(V, shift, cap=np.inf, bisections=200):
-    """Eigenvalue prox over {X >= 0, Tr X <= cap}: shrink by shift, clip at 0, and past cap
-    shift further by the theta that bisection finds for sum max(w - theta, 0) = cap."""
+    """Eigenvalue prox: shrink by shift and clip at 0, or, under a finite cap, project onto
+    the spectraplex {X >= 0, Tr X = cap} with the theta, of either sign, that bisection finds
+    for sum max(w - theta, 0) = cap (the top eigenvalue minus cap gives a sum >= cap)."""
     w, U = np.linalg.eigh((V + V.conj().T) / 2)
-    w = np.maximum(w - shift, 0.0)
-    if w.sum() > cap:
-        lo, hi = 0.0, float(w.max())
+    if cap < np.inf:
+        lo, hi = float(w.max()) - cap, float(w.max())
         for _ in range(bisections):
             mid = (lo + hi) / 2
             lo, hi = (mid, hi) if np.maximum(w - mid, 0.0).sum() > cap else (lo, mid)
         w = np.maximum(w - hi, 0.0)
+    else:
+        w = np.maximum(w - shift, 0.0)
     pos = w > 0
     if not np.any(pos):
         return np.zeros_like(V)

@@ -186,13 +186,18 @@ def test_criterion_8_l1_isometry_trends():
 def test_criterion_9_solver_oracle_equivalence():
     ok = True
     worst_obj, worst_x = 0.0, 0.0
+    ensembles, bs, lams = [], [], []
     for inst in range(5):
         ens = pl.sample_ensemble(3, 12, "real-gaussian", 9_000 + inst)
         rng = np.random.default_rng(inst)
         x = rng.standard_normal(3)
         b = pl.intensities(ens, x) + 0.05 * rng.standard_normal(12)
-        lam = 0.05 * zero_solution_lambda(ens, b)
-        X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / gram_lambda_max(ens), iters=100_000)
+        ensembles.append(ens)
+        bs.append(b)
+        lams.append(0.05 * zero_solution_lambda(ens, b))
+    steps = [0.1 / gram_lambda_max(ens) for ens in ensembles]
+    X_refs, obj_refs = plain_proximal_gradient(ensembles, bs, lams, steps, iters=100_000)
+    for ens, b, lam, X_ref, obj_ref in zip(ensembles, bs, lams, X_refs, obj_refs):
         rep = pl.solve_regularized(ens, b, lam)
         obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
         obj_err = abs(obj - obj_ref) / max(abs(obj_ref), 1e-300)

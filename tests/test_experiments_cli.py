@@ -196,6 +196,29 @@ class TestRecoverySweeps:
             assert r["converged"] == "1"
             assert float(r["residual"]) <= float(r["eps"])
 
+    def test_high_snr_solves_take_few_probes(self, tmp_path, monkeypatch):
+        # a warm-started probe may not end on the step rule before its first gap check, else
+        # Newton crawls to eps in hundreds of one-iteration probes
+        import phaselift.experiments as experiments
+        import phaselift.solver as solver
+
+        per_solve = []
+        solve, probe = experiments.solve_constrained, solver.solve_regularized
+
+        def counted_solve(*args, **kwargs):
+            per_solve.append(0)
+            return solve(*args, **kwargs)
+
+        def counted_probe(*args, **kwargs):
+            per_solve[-1] += 1
+            return probe(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "solve_constrained", counted_solve)
+        monkeypatch.setattr(solver, "solve_regularized", counted_probe)
+        argv = ["--experiment", "snr-sweep", "--n", "8", "--trials", "2", "--snr-db", "160"]
+        assert main(argv + ["--seed", "5", "--out", str(tmp_path / "s160.csv"), "--strict"]) == 0
+        assert len(per_solve) == 2 and all(1 <= probes <= 10 for probes in per_solve)
+
     def test_summary_consistent_with_trials(self, tmp_path):
         out = tmp_path / "snr2.csv"
         cfg = ExperimentConfig(

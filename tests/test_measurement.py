@@ -227,6 +227,18 @@ class TestNoise:
         with pytest.raises(ValueError, match=rf"must be finite and nonnegative, got \[{bad}\]"):
             add_noise(np.array([bad, 1.0]), model, 20.0, seed=0)
 
+    @pytest.mark.parametrize(
+        "b, model, snr_db, match",
+        [
+            ([1.7e308, 1.7e308], "gaussian", 0.0, "past float64"),
+            ([1e300, 1.0], "gaussian", -200.0, "past float64"),
+            ([1e200, 1.0], "poisson", 20.0, "Poisson rate 1e\\+200 .*lam value too large"),
+        ],
+    )
+    def test_noise_past_float64_or_poisson_range_is_a_clear_error(self, b, model, snr_db, match):
+        with pytest.raises(ValueError, match=match):
+            add_noise(np.array(b), model, snr_db, seed=0)
+
     @pytest.mark.parametrize("top", [1e200, 1e300])
     def test_huge_intensities_keep_the_exact_snr(self, top):
         # ||b||^2 overflows float64, so the SNR is set on b scaled by a power of two

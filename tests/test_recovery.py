@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,15 @@ class TestExtraction:
     def test_degenerate_top_eigenvalue_warns(self):
         with pytest.warns(UserWarning):
             recover(np.eye(3))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-5, 1.0])
+    def test_exactly_rank1_input_does_not_warn(self, scale):
+        # the degeneracy test is relative to lambda_1, with no absolute floor
+        x = scale * np.array([1.0, 0.5, 0.25])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = recover(np.outer(x, x))
+        assert rel_mse(x, res.x_hat) <= 1e-12
 
 
 class TestDebias:

@@ -92,11 +92,12 @@ class TestProx:
         cap=st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
     )
     def test_capped_prox_matches_bisection_oracle(self, field, n, seed, shift, cap):
+        # a finite cap projects onto the spectraplex {X >= 0, Tr X = cap}; theta may be negative
         V = 3.0 * random_hermitian(n, field, np.random.default_rng(seed))
         out = prox_psd_trace(V, shift, cap)
         scale = max(1.0, np.linalg.norm(V))
         assert np.linalg.eigvalsh(out).min() >= -1e-12 * scale
-        assert np.trace(out).real <= cap * (1 + 1e-12) + 1e-15
+        assert abs(np.trace(out).real - cap) <= cap * 1e-12 + 1e-15
         assert np.linalg.norm(out - capped_prox(V, shift, cap)) <= 1e-10 * scale
 
     @settings(max_examples=40, deadline=None)
@@ -109,12 +110,17 @@ class TestProx:
             assert np.array_equal(prox_psd_trace(V, shift), expected)
 
     def test_hand_capped_shrinkage(self):
-        # eigenvalues 3, 1 shrink to 2, 0; the cap 1 shifts the 2 down to 1, and a cap 2 is idle
+        # the spectraplex projection of eigenvalues 3, 1, -2 shifts them by theta = 2 for the
+        # cap 1 and theta = 1 for the cap 2, which the uncapped shrinkage by 1 matches
         V = np.diag([3.0, 1.0, -2.0])
         assert np.allclose(prox_psd_trace(V, 1.0, cap=1.0), np.diag([1.0, 0.0, 0.0]))
         assert np.array_equal(prox_psd_trace(V, 1.0, cap=2.0), prox_psd_trace(V, 1.0))
         out = prox_psd_trace(np.diag([3.0, 2.0, -2.0]), 0.0, cap=3.0)
         assert np.allclose(out, np.diag([2.0, 1.0, 0.0]))
+        # the cap 2 lifts eigenvalues 0.5, 0.2, -1 by theta = -0.65, whatever the shift
+        for shift in (0.0, 0.3):
+            out = prox_psd_trace(np.diag([0.5, 0.2, -1.0]), shift, cap=2.0)
+            assert np.allclose(out, np.diag([1.15, 0.85, 0.0]))
 
 
 class TestLipschitz:
@@ -300,6 +306,61 @@ class TestRegularized:
         assert np.trace(rep.X_hat).real <= tau * (1 + 1e-12) + 1e-15
         assert rep.lambda_used >= lam
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        tau=st.one_of(st.just(np.inf), st.floats(0.0, 10.0)),
+        warm=st.booleans(),
+    )
+    def test_backtracking_inequality_holds_at_every_step(self, model, n, m, seed, tau, warm):
+        # the accepted step s satisfies ||A(X_new - Y)||^2 <= ||X_new - Y||^2 / s, and s >= 1/L;
+        # at s = 1/L that is the bound L >= ||A*A||, so allow the round-off of the carried rY
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(n, m, model, seed)
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 2.0, size=m)
+        B = random_hermitian(n, ens.field, rng)
+        steps = []
+        original = solver._prox_step
+
+        def checked(ens, b, lam, tau, V, rV, step, step_min):
+            X, r, obj, taken = original(ens, b, lam, tau, V, rV, step, step_min)
+            slack = 1e-12 * float(b @ b) * taken
+            assert step_min <= taken <= step
+            d = r - rV
+            assert taken * float(d @ d) <= np.linalg.norm(X - V) ** 2 * (1 + 1e-9) + slack
+            steps.append(taken)
+            return X, r, obj, taken
+
+        with mock.patch.object(solver, "_prox_step", checked):
+            X0 = B @ B.conj().T if warm else None
+            solve_regularized(ens, b, 0.0, X0=X0, max_iters=200, tau=tau)
+        assert steps
+        assert all(np.diff(steps) <= 0)  # a halved step is never raised again within a probe
+
+    def test_probe_steps_past_one_over_l(self, monkeypatch):
+        # on a workload shape a tau-probe starts at STEP_START/L and never steps below 1/L
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=22)
+        b = intensities(ens, np.random.default_rng(16).standard_normal(16) + 0j)
+        steps = []
+        original = solver._prox_step
+
+        def recorded(*args):
+            out = original(*args)
+            steps.append((out[3], args[-1]))
+            return out
+
+        monkeypatch.setattr(solver, "_prox_step", recorded)
+        solve_regularized(ens, b, 0.0, tau=0.5 * np.linalg.norm(b), max_iters=100)
+        assert steps[0][0] == solver.STEP_START * steps[0][1]
+        assert all(taken >= step_min for taken, step_min in steps)
+
     def test_capped_solution_solves_the_lambda_form_at_its_multiplier(self):
         # a tau-capped solution with an active cap solves the lambda form at lambda_used
         ens = sample_ensemble(6, 36, "complex-gaussian", seed=21)
@@ -325,7 +386,8 @@ class TestRegularized:
         x = rng.standard_normal(3)
         b = intensities(ens, x) + 0.05 * rng.standard_normal(12)
         lam = 0.05 * zero_solution_lambda(ens, b)
-        X_ref, obj_ref = plain_proximal_gradient(ens, b, lam, 0.1 / gram_lambda_max(ens), iters=20_000)
+        step = 0.1 / gram_lambda_max(ens)
+        (X_ref,), (obj_ref,) = plain_proximal_gradient([ens], [b], [lam], [step], iters=20_000)
         rep = solve_regularized(ens, b, lam)
         obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
         assert obj == pytest.approx(obj_ref, rel=1e-6)
@@ -399,21 +461,13 @@ class TestConstrained:
         assert not rep.converged
         assert rep.residual > NOISELESS_EPS_REL * np.linalg.norm(b)
 
-    def test_noiseless_solve_is_one_converged_probe(self, monkeypatch):
-        import phaselift.solver as solver
-
-        probes = []
-        original = solver.solve_regularized
-
-        def counted(*args, **kwargs):
-            probes.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "solve_regularized", counted)
+    def test_noiseless_solve_is_a_few_converged_newton_probes(self, monkeypatch):
+        probes = _count_probes(monkeypatch)
         ens = sample_ensemble(8, 48, "real-unit-sphere", seed=19)
         b = intensities(ens, np.random.default_rng(15).standard_normal(8))
         rep = solve_constrained(ens, IntensityData(b=b, eps=0.0))
-        assert len(probes) == 1
+        assert 1 <= len(probes) <= 6
+        assert all(np.diff(probes) > 0)  # Newton from the left: tau only grows
         assert rep.converged
         assert rep.residual <= NOISELESS_EPS_REL * np.linalg.norm(b)
 
@@ -447,9 +501,11 @@ class TestConstrained:
         noisy=st.booleans(),
         c=st.floats(1e-3, 1e3),
         seed=st.integers(0, 2**16),
+        k=st.integers(-600, 600),
     )
-    def test_scale_equivariance(self, model, noisy, c, seed):
-        # (b, eps) -> (c b, c eps) maps the solution X to c X, iteration for iteration
+    def test_scale_equivariance(self, model, noisy, c, seed, k):
+        # (b, eps) -> (c b, c eps) maps the solution X to c X, iteration for iteration;
+        # for c = 2^k far past float64's square range it does so bit for bit
         ens = sample_ensemble(5, 30, model, seed)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if ens.field == "complex" else 0)
@@ -459,3 +515,8 @@ class TestConstrained:
         scaled = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
         assert scaled.iterations == ref.iterations
         assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
+        c = 2.0**k
+        exact = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
+        assert exact.iterations == ref.iterations and exact.converged == ref.converged
+        assert np.array_equal(exact.X_hat / c, ref.X_hat)
+        assert exact.residual / c == ref.residual and exact.lambda_used / c == ref.lambda_used
