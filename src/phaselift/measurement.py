@@ -106,6 +106,12 @@ def apply_adjoint(ens: SensingEnsemble, y: np.ndarray) -> np.ndarray:
     return (A + A.conj().T) / 2
 
 
+def _forward_factor(ens: SensingEnsemble, F: np.ndarray) -> np.ndarray:
+    """A(F F*) = sum_j |Z-bar f_j|^2 for an n x k factor F, an m*n*k product; unchecked."""
+    P = ens.vectors.conj() @ F
+    return np.sum((P * P.conj()).real, axis=1)
+
+
 def intensities(ens: SensingEnsemble, x: np.ndarray) -> np.ndarray:
     """Phaseless measurements |<x, z_i>|^2 of a signal x."""
     x = as_signal(x, field=ens.field)
@@ -132,6 +138,11 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
         return IntensityData(b=b_clean.copy(), eps=0.0)
     if not np.isfinite(snr_db):
         raise ValueError("snr_db must be finite or +inf")
+    try:
+        gain = 10.0 ** (-snr_db / 20.0)
+    except OverflowError:  # below about -6165 dB
+        msg = f"noise at {snr_db} dB is past float64: 10^({-snr_db} / 20) overflows"
+        raise ValueError(msg) from None
     e = max(0, int(np.frexp(b_clean.max(initial=0.0))[1]))  # b / 2^e is exact, its squares finite
     ref = float(np.sum(np.ldexp(b_clean, -e) ** 2))
     if ref <= 0:
@@ -149,7 +160,7 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
         # degenerate draw (e.g. all-zero rates); nothing to rescale
         return IntensityData(b=b_clean.copy(), eps=0.0)
     with np.errstate(over="ignore"):  # a noise norm or record past float64 is reported below
-        nu *= np.ldexp(np.sqrt(ref) * 10.0 ** (-snr_db / 20.0), e) / nrm
+        nu *= np.ldexp(np.sqrt(ref) * gain, e) / nrm
         b = b_clean + nu
     if not np.all(np.isfinite(b)):
         raise ValueError(f"noise at {snr_db} dB takes the noisy intensities past float64")

@@ -63,13 +63,17 @@ def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResu
     of `hermitian.eig`.  Warns when the top eigenvalue is (nearly)
     degenerate, since the choice of u_1 is then ill-posed.
     """
-    w, V = eig(X_hat)
+    X_hat = np.asarray(X_hat)
+    # X / 2^e is exact and its norms are finite; the floor keeps 2^-e finite on subnormal X
+    e = max(int(np.frexp(np.max(np.abs(X_hat), initial=0.0))[1]), -1022)
+    w, V = eig(X_hat * np.ldexp(1.0, -e))
     if w[-1] < -PSD_EXTRACTION_RTOL * max(float(np.linalg.norm(w)), 1e-300):
         raise ValueError("matrix is significantly non-PSD; cannot extract a rank-1 component")
     lam1 = max(float(w[0]), 0.0)
     if V.shape[0] > 1 and lam1 > 0.0 and w[0] - w[1] <= 1e-9 * lam1:
         warnings.warn("top eigenvalue is nearly degenerate; rank-1 extraction is ill-posed")
-    x_hat = np.sqrt(lam1) * V[:, 0]
+    w = np.ldexp(w, e)
+    x_hat = np.sqrt(np.ldexp(lam1, e)) * V[:, 0]
     err = err_rms = None
     if x_true is not None:
         err = rel_mse(as_signal(x_true), x_hat)

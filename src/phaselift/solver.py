@@ -16,20 +16,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hermitian import DTYPES, as_hermitian
-from .measurement import IntensityData, SensingEnsemble, apply_adjoint, apply_measurement
+from .measurement import (
+    IntensityData,
+    SensingEnsemble,
+    _forward_factor,
+    apply_adjoint,
+    apply_measurement,
+)
 
 #: The eps a noiseless (eps = 0) solve aims at, relative to ||b||.
 NOISELESS_EPS_REL = 1e-5
 #: Newton aims at phi = (1 - EPS_REL_TOL) * eps and stops if a probe gains < EPS_REL_TOL * eps.
 EPS_REL_TOL = 1e-3
 #: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * ||X_new||.
-STEP_REL_TOL = 1e-8
+STEP_REL_TOL = 3e-9
 #: Under a finite trace cap FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2.
-GAP_REL_TOL, GAP_EVERY = 1e-4, 10
+GAP_REL_TOL, GAP_EVERY = 1e-5, 10
+#: FISTA restarts when the objective rises by more than its round-off, RISE_TOL * ||b|| * ||r||.
+RISE_TOL = 1e-13
 #: Default cap on FISTA iterations per regularized solve (per probe).
 MAX_ITERS = 5000
 #: Under a finite trace cap the step starts at STEP_START/L; the curvature on trace-zero X is ~L/4.
 STEP_START = 3.5
+#: Under a finite trace cap each FISTA step first tries STEP_GROW times the last accepted step.
+STEP_GROW = 1.25
 
 
 @dataclass
@@ -41,10 +51,11 @@ class SolveReport:
     converged: bool = False
 
 
-def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf) -> np.ndarray:
+def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf, factor: bool = False):
     """Prox of shift*Tr(.) over X >= 0: shrink eigenvalues by shift and clip at 0.  A finite cap
     projects onto the spectraplex {X >= 0, Tr X = cap} instead, the eigenvalues onto the simplex
-    {w >= 0, sum w = cap} by a theta that may be negative; Tr X is fixed, so shift is irrelevant."""
+    {w >= 0, sum w = cap} by a theta that may be negative; Tr X is fixed, so shift is irrelevant.
+    With factor=True returns (X, F), F the n x rank factor with X = F F* up to round-off."""
     if shift < 0 or not cap >= 0:
         raise ValueError("shift and cap must be nonnegative")
     V = as_hermitian(V)
@@ -57,9 +68,10 @@ def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf) -> np.ndarr
     else:
         w = np.maximum(w - shift, 0.0)
     pos = w > 0
-    U = U[:, pos]
-    X = (U * w[pos]) @ U.conj().T
-    return (X + X.conj().T) / 2
+    U, w = U[:, pos], w[pos]
+    X = (U * w) @ U.conj().T
+    X = (X + X.conj().T) / 2
+    return (X, U * np.sqrt(w)) if factor else X
 
 
 def estimate_lipschitz(ens: SensingEnsemble) -> float:
@@ -89,12 +101,14 @@ def solve_regularized(
     """FISTA with adaptive restart for the trace-regularized problem, or on the spectraplex
     {X >= 0, Tr X = tau} for a finite tau.
 
-    The residuals r = A(X) - b and rY = A(Y) - b travel with the iterates;
-    rY follows from r by linearity, so each prox step costs one forward map.
+    Each iterate carries its residual r = A(X) - b and gradient G = A*(r).  Only the start
+    pays a dense forward map: a step maps the prox's factor forward (`_forward_factor`) and
+    takes one adjoint, and the extrapolated point's residual and gradient follow by linearity.
     The lambda form steps 1/L.  A finite tau rescales X0 to trace tau (no X0: tau I / n),
-    starts at STEP_START/L and backtracks (see `_prox_step`), and adds the `_duality_gap`
-    stop, checked every GAP_EVERY iterations, on the step rule from the first check on,
-    and at max_iters; lambda_used is then its multiplier.
+    steps from STEP_START/L, then from STEP_GROW times the last accepted step, and backtracks
+    (see `_fista_step`); it adds the `_duality_gap` stop, checked every GAP_EVERY iterations,
+    on the step rule from the first check on, and at max_iters; lambda_used is then its
+    multiplier.
     """
     if lam < 0 or not tau >= 0:
         raise ValueError("lambda and tau must be nonnegative")
@@ -104,59 +118,72 @@ def solve_regularized(
     if b.shape != (ens.m,):
         raise ValueError("data length does not match ensemble")
     step_min = 1.0 / estimate_lipschitz(ens)
-    step = step_min if tau == np.inf else STEP_START * step_min
+    rise_tol = RISE_TOL * np.linalg.norm(b)
+    step, grow = (step_min, 1.0) if tau == np.inf else (STEP_START * step_min, STEP_GROW)
 
     X = np.zeros((ens.n, ens.n), DTYPES[ens.field]) if X0 is None else as_hermitian(X0, ens.field)
     if tau < np.inf:  # start on the spectraplex, so that every step is trace-zero
         tr = np.trace(X).real
         X = X * (tau / tr) if tr > 0 else np.eye(ens.n, dtype=X.dtype) * (tau / ens.n)
     r = apply_measurement(ens, X) - b
+    cur = prev = (X, r, apply_adjoint(ens, r))
     obj = 0.5 * float(r @ r) + lam * float(np.trace(X).real)
-    Y, rY = X, r
-    t = 1.0
+    t, trial = 1.0, step
     lam_used = lam
     for iters in range(1, max_iters + 1):
-        X_new, r_new, obj_new, step = _prox_step(ens, b, lam, tau, Y, rY, step, step_min)
+        X_new, r_new, obj_new, s, t_new = _fista_step(
+            ens, b, lam, tau, cur, prev, t, step, trial, step_min
+        )
         if not np.isfinite(obj_new):
             raise RuntimeError("objective is not finite: inf/NaN or overflow in the data")
-        if obj_new > obj:
+        if obj_new - obj > rise_tol * np.linalg.norm(cur[1]):
             # kill momentum and retake the step from the last iterate
             t = 1.0
-            X_new, r_new, obj_new, step = _prox_step(ens, b, lam, tau, X, r, step, step_min)
-        t_new = (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
-        beta = (t - 1.0) / t_new
-        dX = X_new - X
-        Y = X_new + beta * dX
-        rY = r_new + beta * (r_new - r)
-        step_small = np.linalg.norm(dX) <= STEP_REL_TOL * np.linalg.norm(X_new)
-        X, r, t, obj = X_new, r_new, t_new, obj_new
+            X_new, r_new, obj_new, s, t_new = _fista_step(
+                ens, b, lam, tau, cur, cur, t, step, s, step_min
+            )
+        step_small = np.linalg.norm(X_new - cur[0]) <= STEP_REL_TOL * np.linalg.norm(X_new)
+        prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new))
+        t, obj, step, trial = t_new, obj_new, s, grow * s
         if tau < np.inf and (step_small or iters % GAP_EVERY == 0 or iters == max_iters):
-            gap, lam_used = _duality_gap(ens, b, r, lam, tau)
+            gap, lam_used = _duality_gap(cur, b, lam, tau)
             # a warm start can stall for an iteration or two before it moves
-            step_small = (step_small and iters >= GAP_EVERY) or gap <= GAP_REL_TOL * float(r @ r)
+            small_gap = gap <= GAP_REL_TOL * float(r_new @ r_new)
+            step_small = (step_small and iters >= GAP_EVERY) or small_gap
         if step_small:
             break
+    X, r, _ = cur
     return SolveReport(X, iters, float(np.linalg.norm(r)), float(lam_used), converged=step_small)
 
 
-def _prox_step(ens, b, lam, tau, V, rV, step, step_min):
-    """Prox-gradient step from V, whose residual is rV; returns X, its residual, objective and
-    the step taken.  A step above step_min = 1/L is halved, never below step_min, until
-    ||A(X) - A(V)||^2 <= ||X - V||^2 / step (Beck & Teboulle 2009); r - rV is that A(X - V)."""
-    G = apply_adjoint(ens, rV)
+def _fista_step(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
+    """One FISTA step with backtracking (Scheinberg, Goldfarb & Bai 2014) from the iterate
+    cur = (X, r, G) and the one before it, prev; step is the last accepted step.  Each try at
+    s (first `trial`, then halved, never below step_min) sets t_new = (1 + sqrt(1 + 4 (step / s)
+    t^2)) / 2 and Y = X + (t - 1) / t_new (X - X_prev), whose residual rY and gradient GY follow
+    by linearity, until ||A(X_new - Y)||^2 <= ||X_new - Y||^2 / s (Beck & Teboulle 2009); that
+    A(X_new - Y) is r_new - rY.  Returns X_new, its residual and objective, s and t_new."""
+    (X, r, G), (Xp, rp, Gp) = cur, prev
+    s = trial
     while True:
-        X = prox_psd_trace(V - step * G, step * lam, tau)
-        r = apply_measurement(ens, X) - b
-        if step <= step_min or step * float((r - rV) @ (r - rV)) <= np.linalg.norm(X - V) ** 2:
-            return X, r, 0.5 * float(r @ r) + lam * float(np.trace(X).real), step
-        step = max(step / 2, step_min)
+        t_new = (1.0 + np.sqrt(1.0 + 4.0 * (step / s) * t * t)) / 2.0
+        beta = (t - 1.0) / t_new
+        Y, rY, GY = X + beta * (X - Xp), r + beta * (r - rp), G + beta * (G - Gp)
+        X_new, F = prox_psd_trace(Y - s * GY, s * lam, tau, factor=True)
+        r_new = _forward_factor(ens, F) - b
+        d = r_new - rY
+        if s <= step_min or s * float(d @ d) <= np.linalg.norm(X_new - Y) ** 2:
+            obj = 0.5 * float(r_new @ r_new) + lam * float(np.trace(X_new).real)
+            return X_new, r_new, obj, s, t_new
+        s = max(s / 2, step_min)
 
 
-def _duality_gap(ens, b, r, lam, tau):
-    """Frank-Wolfe gap over the spectraplex {X >= 0, Tr X = tau} of the X whose residual is r,
+def _duality_gap(cur, b, lam, tau):
+    """Frank-Wolfe gap over the spectraplex {X >= 0, Tr X = tau} of the iterate cur = (X, r, G),
     which bounds the objective's excess over its minimum, and the lambda-form multiplier
-    max(lam, mu), where mu = lambda_max(A*(-r)) may be negative."""
-    mu = float(np.linalg.eigvalsh(apply_adjoint(ens, -r))[-1])
+    max(lam, mu), where mu = lambda_max(-G) = lambda_max(A*(-r)) may be negative."""
+    _, r, G = cur
+    mu = float(np.linalg.eigvalsh(-G)[-1])
     return float(r @ (r + b)) + tau * mu, max(lam, mu)
 
 

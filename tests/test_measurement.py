@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from scipy import stats
 from phaselift.measurement import (
     MODELS,
     IntensityData,
+    _forward_factor,
     add_noise,
     apply_adjoint,
     apply_measurement,
@@ -71,6 +74,25 @@ class TestOperator:
         lifted = apply_measurement(ens, np.outer(x, x.conj()))
         assert np.abs(lifted - direct).max() <= 1e-12 * scale
         assert np.abs(intensities(ens, phase * x) - direct).max() <= 1e-12 * scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(0, 8),
+    )
+    def test_factor_forward_matches_dense_forward(self, model, n, m, seed, rank):
+        # the solver maps the prox's factor F forward as A(F F*) = sum_j |Z-bar f_j|^2;
+        # rank 0 is the empty factor of X = 0
+        ens = sample_ensemble(n, m, model, seed)
+        rng = np.random.default_rng(seed)
+        F = rng.standard_normal((n, min(rank, n)))
+        if ens.field == "complex":
+            F = F + 1j * rng.standard_normal(F.shape)
+        dense = apply_measurement(ens, F @ F.conj().T)
+        assert np.linalg.norm(_forward_factor(ens, F) - dense) <= 1e-12 * np.linalg.norm(dense)
 
     def test_hand_quadratic_form(self):
         from phaselift.measurement import SensingEnsemble
@@ -238,6 +260,13 @@ class TestNoise:
     def test_noise_past_float64_or_poisson_range_is_a_clear_error(self, b, model, snr_db, match):
         with pytest.raises(ValueError, match=match):
             add_noise(np.array(b), model, snr_db, seed=0)
+
+    @pytest.mark.parametrize("model", ["gaussian", "poisson"])
+    @pytest.mark.parametrize("snr_db", [-7000.0, -1e6, -1.7e308])
+    def test_snr_past_float64_names_the_snr(self, snr_db, model):
+        # 10^(-snr_db / 20) overflows float64 below about -6165 dB
+        with pytest.raises(ValueError, match=re.escape(f"noise at {snr_db} dB is past float64")):
+            add_noise([1.0, 2.0], model, snr_db, 0)
 
     @pytest.mark.parametrize("top", [1e200, 1e300])
     def test_huge_intensities_keep_the_exact_snr(self, top):

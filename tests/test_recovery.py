@@ -49,6 +49,19 @@ class TestExtraction:
             res = recover(np.outer(x, x))
         assert rel_mse(x, res.x_hat) <= 1e-12
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("scale", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+    def test_extreme_scales(self, scale, complex_field):
+        # eig and the PSD check see X / 2^e, so its eigenvalue norm neither under- nor overflows
+        x = scale * np.array([1.0, 0.5, 0.25]) * (1 - 0.5j if complex_field else 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = recover(np.outer(x, x.conj()), x_true=x)
+        assert res.rel_mse <= 1e-12
+        assert np.linalg.norm(res.x_hat_debiased / scale) ** 2 == pytest.approx(
+            np.linalg.norm(x / scale) ** 2, rel=1e-12
+        )
+
 
 class TestDebias:
     def test_rank1_spectrum_is_noop(self):

@@ -10,6 +10,7 @@ from phaselift.measurement import (
     IntensityData,
     SensingEnsemble,
     add_noise,
+    apply_adjoint,
     apply_measurement,
     intensities,
     sample_ensemble,
@@ -40,6 +41,40 @@ def _count_probes(monkeypatch):
 
     monkeypatch.setattr(solver, "solve_regularized", counted)
     return probes
+
+
+def _extrapolated(cur, prev, t, t_new):
+    """(Y, rY, GY) of a FISTA step from the iterates cur and prev, by linearity."""
+    beta = (t - 1.0) / t_new
+    return tuple(c + beta * (c - p) for c, p in zip(cur, prev))
+
+
+def _check_sgb_momentum(calls):
+    """Check the recorded (cur, prev, t, step, trial, out) of each `_fista_step` call of a probe.
+
+    Each call's t_new is (1 + sqrt(1 + 4 (step / s) t^2)) / 2 at its accepted step s.  A new
+    iterate carries t_new and s into the next call; a restart retakes the step from the same
+    iterate with t = 1, no momentum and the last accepted step.  Returns the events seen.
+    """
+    events = set()
+    for k, (cur, prev, t, step, trial, out) in enumerate(calls):
+        taken, t_new = out[3], out[4]
+        assert t_new == pytest.approx((1 + np.sqrt(1 + 4 * (step / taken) * t * t)) / 2, rel=1e-15)
+        if taken > step:
+            events.add("growth")
+        if taken < trial:
+            events.add("backtrack")
+        if k == 0:
+            assert t == 1.0 and prev is cur
+            continue
+        last_cur, _, _, last_step, _, last_out = calls[k - 1]
+        if cur is last_cur:
+            events.add("restart")
+            assert t == 1.0 and prev is cur and step == last_step and trial == last_out[3]
+        else:
+            assert cur[0] is last_out[0] and prev is last_cur
+            assert t == last_out[4] and step == last_out[3]
+    return events
 
 
 class TestProx:
@@ -166,8 +201,6 @@ class TestLipschitz:
         assert estimate_lipschitz(doubled) == pytest.approx(4.0 * estimate_lipschitz(ens), rel=0.01)
 
     def test_descent_with_estimated_step(self):
-        from phaselift.measurement import apply_adjoint
-
         ens = sample_ensemble(4, 20, "real-gaussian", seed=3)
         rng = np.random.default_rng(2)
         b = rng.uniform(0.0, 2.0, size=20)
@@ -253,10 +286,13 @@ class TestRegularized:
         direct = np.linalg.norm(apply_measurement(ens, rep.X_hat) - b)
         assert rep.residual == pytest.approx(direct, rel=1e-10)
 
-    def test_one_forward_map_per_prox_step(self, monkeypatch):
+    @pytest.mark.parametrize("tau", [np.inf, 2.0])
+    def test_one_forward_map_per_prox_step(self, monkeypatch, tau):
+        # one dense forward map per probe (its start residual); every prox attempt maps its
+        # factor forward, and every iterate, the start included, pays one adjoint
         import phaselift.solver as solver
 
-        calls = {"forward": 0, "prox": 0}
+        calls = {"forward": 0, "factor": 0, "adjoint": 0, "prox": 0}
 
         def counted(key, fn):
             def wrapper(*args, **kwargs):
@@ -268,13 +304,17 @@ class TestRegularized:
         ens = sample_ensemble(5, 25, "complex-gaussian", seed=18)
         rng = np.random.default_rng(13)
         b = rng.uniform(0.0, 2.0, size=25)
-        L = estimate_lipschitz(ens)
+        L, lam = estimate_lipschitz(ens), 0.05 * zero_solution_lambda(ens, b)
         monkeypatch.setattr(solver, "estimate_lipschitz", lambda _ens: L)
         monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
+        monkeypatch.setattr(solver, "_forward_factor", counted("factor", solver._forward_factor))
+        monkeypatch.setattr(solver, "apply_adjoint", counted("adjoint", solver.apply_adjoint))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
-        rep = solve_regularized(ens, b, 0.05 * zero_solution_lambda(ens, b))
-        assert calls["prox"] > rep.iterations > 1  # some steps restarted
-        assert calls["forward"] == calls["prox"] + 1
+        rep = solve_regularized(ens, b, lam, tau=tau)
+        assert calls["prox"] > rep.iterations > 1  # some steps restarted or backtracked
+        assert calls["forward"] == 1
+        assert calls["factor"] == calls["prox"]
+        assert calls["adjoint"] == rep.iterations + 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -325,41 +365,116 @@ class TestRegularized:
         b = rng.uniform(0.0, 2.0, size=m)
         B = random_hermitian(n, ens.field, rng)
         steps = []
-        original = solver._prox_step
+        original = solver._fista_step
 
-        def checked(ens, b, lam, tau, V, rV, step, step_min):
-            X, r, obj, taken = original(ens, b, lam, tau, V, rV, step, step_min)
+        def checked(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
+            out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
+            X, r, obj, taken, t_new = out
+            Y, rY, _ = _extrapolated(cur, prev, t, t_new)
             slack = 1e-12 * float(b @ b) * taken
-            assert step_min <= taken <= step
-            d = r - rV
-            assert taken * float(d @ d) <= np.linalg.norm(X - V) ** 2 * (1 + 1e-9) + slack
-            steps.append(taken)
-            return X, r, obj, taken
+            assert step_min <= taken <= trial
+            d = r - rY
+            assert taken * float(d @ d) <= np.linalg.norm(X - Y) ** 2 * (1 + 1e-9) + slack
+            steps.append((trial, taken))
+            return out
 
-        with mock.patch.object(solver, "_prox_step", checked):
+        with mock.patch.object(solver, "_fista_step", checked):
             X0 = B @ B.conj().T if warm else None
             solve_regularized(ens, b, 0.0, X0=X0, max_iters=200, tau=tau)
         assert steps
-        assert all(np.diff(steps) <= 0)  # a halved step is never raised again within a probe
+        # each try is at most STEP_GROW times the previous accepted step
+        tries, taken = zip(*steps)
+        assert all(tries[k + 1] <= solver.STEP_GROW * taken[k] for k in range(len(steps) - 1))
 
     def test_probe_steps_past_one_over_l(self, monkeypatch):
-        # on a workload shape a tau-probe starts at STEP_START/L and never steps below 1/L
+        # on a workload shape a tau-probe starts at STEP_START/L, grows its step past that and
+        # never steps below 1/L; it pays one dense forward map, its start residual, and one prox
+        # per try, each try halving the step
         import phaselift.solver as solver
 
         ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=22)
         b = intensities(ens, np.random.default_rng(16).standard_normal(16) + 0j)
+        L = estimate_lipschitz(ens)
+        calls = {"forward": 0, "prox": 0}
         steps = []
-        original = solver._prox_step
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        original = solver._fista_step
 
         def recorded(*args):
+            before = calls["prox"]
             out = original(*args)
-            steps.append((out[3], args[-1]))
+            trial, step_min, taken = args[8], args[9], out[3]
+            assert taken == max(trial / 2 ** (calls["prox"] - before - 1), step_min)
+            steps.append((trial, taken, step_min))
             return out
 
-        monkeypatch.setattr(solver, "_prox_step", recorded)
+        monkeypatch.setattr(solver, "estimate_lipschitz", lambda _ens: L)
+        monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
+        monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
+        monkeypatch.setattr(solver, "_fista_step", recorded)
         solve_regularized(ens, b, 0.0, tau=0.5 * np.linalg.norm(b), max_iters=100)
-        assert steps[0][0] == solver.STEP_START * steps[0][1]
-        assert all(taken >= step_min for taken, step_min in steps)
+        assert calls["forward"] == 1
+        assert steps[0][0] == solver.STEP_START * steps[0][2]
+        assert all(taken >= step_min for _, taken, step_min in steps)
+        assert max(taken for _, taken, _ in steps) > solver.STEP_START * steps[0][2]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        tau=st.one_of(st.just(np.inf), st.floats(0.0, 10.0)),
+    )
+    def test_carried_gradient_and_momentum(self, model, n, m, seed, tau):
+        # every iterate carries G = A*(r); the extrapolated gradient GY follows by linearity
+        # and equals A*(rY) to round-off
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(n, m, model, seed)
+        b = np.random.default_rng(seed).uniform(0.0, 2.0, size=m)
+        calls = []
+        original = solver._fista_step
+
+        def checked(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
+            out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
+            for X, r, G in (cur, prev):
+                assert np.array_equal(G, apply_adjoint(ens, r))
+            _, rY, GY = _extrapolated(cur, prev, t, out[4])
+            # the round-off of A*(r) scales with A*(|r|), not with A*(r), which may cancel
+            scale = sum(np.linalg.norm(apply_adjoint(ens, np.abs(v[1]))) for v in (cur, prev))
+            assert np.linalg.norm(GY - apply_adjoint(ens, rY)) <= 1e-12 * scale * (1 + t)
+            calls.append((cur, prev, t, step, trial, out))
+            return out
+
+        with mock.patch.object(solver, "_fista_step", checked):
+            solve_regularized(ens, b, 0.0, max_iters=200, tau=tau)
+        _check_sgb_momentum(calls)
+
+    def test_momentum_follows_sgb_after_growth_backtracks_and_restarts(self, monkeypatch):
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=22)
+        b = intensities(ens, np.random.default_rng(16).standard_normal(16) + 0j)
+        calls = []
+        original = solver._fista_step
+
+        def recorded(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
+            out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
+            calls.append((cur, prev, t, step, trial, out))
+            return out
+
+        monkeypatch.setattr(solver, "_fista_step", recorded)
+        solve_regularized(ens, b, 0.0, tau=0.9 * np.linalg.norm(b), max_iters=300)
+        events = _check_sgb_momentum(calls)
+        assert events == {"growth", "backtrack", "restart"}
 
     def test_capped_solution_solves_the_lambda_form_at_its_multiplier(self):
         # a tau-capped solution with an active cap solves the lambda form at lambda_used
