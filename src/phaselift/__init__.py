@@ -1,8 +1,8 @@
 """Recovery of signals from phaseless quadratic measurements.
 
-Lifts the unknown signal x to the rank-1 matrix xx*, solves a
-trace-regularized least-squares problem over the PSD cone against the
-measured intensities |<x, z_i>|^2, and extracts (and debiases) the top
+Lifts the unknown signal x to the rank-1 matrix xx*, solves
+min Tr X s.t. ||A(X) - b|| <= eps over the PSD cone, b the measured
+intensities |<x, z_i>|^2, and extracts (and debiases) the top
 rank-1 component.  Also ships the verification toolkit for the theory:
 dual certificates, l1-isometry constants, and moment identities of the
 Gaussian measurement model.

@@ -81,6 +81,8 @@ class ExperimentConfig:
                 raise ConfigError(f"grid {name} must be nonempty")
             if name != "snr_db" and min(grid or [1]) < 1:
                 raise ConfigError(f"grid {name} entries must be positive")
+            if grid is not None and len(set(map(float, grid))) < len(grid):
+                raise ConfigError(f"grid {name} repeats an entry: {grid}")
         if self.m is not None and self.m_over_n is not None:
             raise ConfigError("give grid m or grid m_over_n, not both")
         snrs = self.snr_db or spec.snrs or ()

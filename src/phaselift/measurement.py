@@ -57,8 +57,9 @@ class IntensityData:
         b = np.asarray(self.b)
         if b.ndim != 1 or not np.all(np.isfinite(b)):
             raise ValueError("intensities b must be a finite 1-d vector")
-        if not self.eps >= 0:
-            raise ValueError(f"noise bound eps must be nonnegative, got {self.eps}")
+        if not 0 <= self.eps < np.inf:
+            need = "finite" if self.eps > 0 else "nonnegative"
+            raise ValueError(f"noise bound eps must be {need}, got {self.eps}")
         if np.any(b < -self.eps - 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0)))):
             raise ValueError("clean intensities must be nonnegative, but some b_i < -eps")
 
@@ -164,4 +165,5 @@ def add_noise(b_clean: np.ndarray, model: str, snr_db: float, seed: int) -> Inte
         b = b_clean + nu
     if not np.all(np.isfinite(b)):
         raise ValueError(f"noise at {snr_db} dB takes the noisy intensities past float64")
-    return IntensityData(b=b, eps=float(np.ldexp(np.linalg.norm(np.ldexp(nu, -e)), e)))
+    k = int(np.frexp(np.abs(nu).max())[1])  # nu / 2^k is exact, its squares finite
+    return IntensityData(b=b, eps=float(np.ldexp(np.linalg.norm(np.ldexp(nu, -k)), k)))

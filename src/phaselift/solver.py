@@ -36,9 +36,9 @@ GAP_REL_TOL, GAP_EVERY = 1e-5, 10
 RISE_TOL = 1e-13
 #: Default cap on FISTA iterations per regularized solve (per probe).
 MAX_ITERS = 5000
-#: Under a finite trace cap the step starts at STEP_START/L; the curvature on trace-zero X is ~L/4.
+#: The first step tries STEP_START/L; the curvature on trace-zero X (a probe's steps) is ~L/4.
 STEP_START = 3.5
-#: Under a finite trace cap each FISTA step first tries STEP_GROW times the last accepted step.
+#: Each FISTA step first tries STEP_GROW times the last accepted step.
 STEP_GROW = 1.25
 
 
@@ -46,16 +46,16 @@ STEP_GROW = 1.25
 class SolveReport:
     X_hat: np.ndarray
     iterations: int
-    residual: float = 0.0
-    lambda_used: float = 0.0
-    converged: bool = False
+    residual: float
+    lambda_used: float
+    converged: bool
 
 
-def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf, factor: bool = False):
+def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf):
     """Prox of shift*Tr(.) over X >= 0: shrink eigenvalues by shift and clip at 0.  A finite cap
     projects onto the spectraplex {X >= 0, Tr X = cap} instead, the eigenvalues onto the simplex
     {w >= 0, sum w = cap} by a theta that may be negative; Tr X is fixed, so shift is irrelevant.
-    With factor=True returns (X, F), F the n x rank factor with X = F F* up to round-off."""
+    Returns (X, F), F the n x rank factor with X = F F* up to round-off."""
     if shift < 0 or not cap >= 0:
         raise ValueError("shift and cap must be nonnegative")
     V = as_hermitian(V)
@@ -71,7 +71,7 @@ def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf, factor: boo
     U, w = U[:, pos], w[pos]
     X = (U * w) @ U.conj().T
     X = (X + X.conj().T) / 2
-    return (X, U * np.sqrt(w)) if factor else X
+    return X, U * np.sqrt(w)
 
 
 def estimate_lipschitz(ens: SensingEnsemble) -> float:
@@ -104,11 +104,10 @@ def solve_regularized(
     Each iterate carries its residual r = A(X) - b and gradient G = A*(r).  Only the start
     pays a dense forward map: a step maps the prox's factor forward (`_forward_factor`) and
     takes one adjoint, and the extrapolated point's residual and gradient follow by linearity.
-    The lambda form steps 1/L.  A finite tau rescales X0 to trace tau (no X0: tau I / n),
-    steps from STEP_START/L, then from STEP_GROW times the last accepted step, and backtracks
-    (see `_fista_step`); it adds the `_duality_gap` stop, checked every GAP_EVERY iterations,
-    on the step rule from the first check on, and at max_iters; lambda_used is then its
-    multiplier.
+    The first step tries STEP_START/L, each later one STEP_GROW times the last accepted step,
+    and backtracks as `_fista_step` says.  A finite tau rescales X0 to trace tau (no X0:
+    tau I / n) and adds the `_duality_gap` stop, checked every GAP_EVERY iterations, on the
+    step rule from the first check on, and at max_iters; lambda_used is then its multiplier.
     """
     if lam < 0 or not tau >= 0:
         raise ValueError("lambda and tau must be nonnegative")
@@ -119,7 +118,7 @@ def solve_regularized(
         raise ValueError("data length does not match ensemble")
     step_min = 1.0 / estimate_lipschitz(ens)
     rise_tol = RISE_TOL * np.linalg.norm(b)
-    step, grow = (step_min, 1.0) if tau == np.inf else (STEP_START * step_min, STEP_GROW)
+    step = trial = STEP_START * step_min
 
     X = np.zeros((ens.n, ens.n), DTYPES[ens.field]) if X0 is None else as_hermitian(X0, ens.field)
     if tau < np.inf:  # start on the spectraplex, so that every step is trace-zero
@@ -128,8 +127,7 @@ def solve_regularized(
     r = apply_measurement(ens, X) - b
     cur = prev = (X, r, apply_adjoint(ens, r))
     obj = 0.5 * float(r @ r) + lam * float(np.trace(X).real)
-    t, trial = 1.0, step
-    lam_used = lam
+    t, lam_used = 1.0, lam
     for iters in range(1, max_iters + 1):
         X_new, r_new, obj_new, s, t_new = _fista_step(
             ens, b, lam, tau, cur, prev, t, step, trial, step_min
@@ -144,7 +142,7 @@ def solve_regularized(
             )
         step_small = np.linalg.norm(X_new - cur[0]) <= STEP_REL_TOL * np.linalg.norm(X_new)
         prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new))
-        t, obj, step, trial = t_new, obj_new, s, grow * s
+        t, obj, step, trial = t_new, obj_new, s, STEP_GROW * s
         if tau < np.inf and (step_small or iters % GAP_EVERY == 0 or iters == max_iters):
             gap, lam_used = _duality_gap(cur, b, lam, tau)
             # a warm start can stall for an iteration or two before it moves
@@ -169,7 +167,7 @@ def _fista_step(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * (step / s) * t * t)) / 2.0
         beta = (t - 1.0) / t_new
         Y, rY, GY = X + beta * (X - Xp), r + beta * (r - rp), G + beta * (G - Gp)
-        X_new, F = prox_psd_trace(Y - s * GY, s * lam, tau, factor=True)
+        X_new, F = prox_psd_trace(Y - s * GY, s * lam, tau)
         r_new = _forward_factor(ens, F) - b
         d = r_new - rY
         if s <= step_min or s * float(d @ d) <= np.linalg.norm(X_new - Y) ** 2:
@@ -228,9 +226,7 @@ def solve_constrained(
         total_iters += rep.iterations
         if phi - rep.residual < EPS_REL_TOL * eps:
             break
-    rep.iterations = total_iters
-    rep.converged = rep.converged and rep.residual <= eps
-    scale = 2.0**e
-    rep.X_hat, rep.residual = rep.X_hat * scale, rep.residual * scale
-    rep.lambda_used *= scale
-    return rep
+    scale, ok = 2.0**e, rep.converged and rep.residual <= eps
+    return SolveReport(
+        rep.X_hat * scale, total_iters, rep.residual * scale, rep.lambda_used * scale, ok
+    )

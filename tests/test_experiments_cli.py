@@ -255,10 +255,11 @@ class TestRecoverySweeps:
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
 
     def test_phase_transition_summary_covers_own_block(self, tmp_path):
-        # a repeated grid value must not merge the two blocks' success rates
-        out = tmp_path / "pt_repeat.csv"
+        # each summary averages the success of its own block only (a repeated grid value,
+        # which would make two blocks of one point, is a config error)
+        out = tmp_path / "pt_blocks.csv"
         cfg = ExperimentConfig(
-            experiment="phase-transition", n=8, m_over_n=[3, 3], trials=3, seed=6, out=str(out)
+            experiment="phase-transition", n=8, m_over_n=[3, 4], trials=3, seed=6, out=str(out)
         )
         run_experiment(cfg)
         _, rows = read_csv(out)
@@ -471,6 +472,10 @@ class TestCliEntry:
             ("rip1-study", ["--m", "3"], "grid m entries >= n=4"),
             ("f-curves", ["--seed", "-1", "--mc-samples", "1000"], "seed must be nonnegative"),
             ("snr-sweep", ["--snr-db", "20", "--noise", "none"], "--snr-db inf"),
+            ("rip1-study", ["--m", "8,8"], "grid m repeats an entry: [8, 8]"),
+            ("oversampling-sweep", ["--m-over-n", "5,6,5"], "grid m_over_n repeats an entry"),
+            ("snr-sweep", ["--snr-db", "20,20.0"], "grid snr_db repeats an entry"),
+            ("snr-sweep", ["--snr-db", "inf,40,inf"], "grid snr_db repeats an entry"),
         ],
     )
     def test_value_that_would_write_wrong_rows_is_config_error(

@@ -211,6 +211,7 @@ class TestNoise:
         [
             ([1.0, 2.0], np.nan, "eps must be nonnegative, got nan"),
             ([1.0, 2.0], -0.5, "eps must be nonnegative, got -0.5"),
+            ([1.0, 2.0], np.inf, "eps must be finite, got inf"),
             ([1.0, np.nan], 0.1, "b must be a finite 1-d vector"),
             ([np.inf, 2.0], 0.1, "b must be a finite 1-d vector"),
             ([[1.0, 2.0]], 0.1, "b must be a finite 1-d vector"),
@@ -277,6 +278,19 @@ class TestNoise:
         assert np.linalg.norm(nu) * top == pytest.approx(data.eps, rel=1e-14)
         realized = 20 * np.log10(np.linalg.norm(b / top) / np.linalg.norm(nu))
         assert realized == pytest.approx(20.0, abs=1e-9)
+
+    @pytest.mark.parametrize("b, snr_db", [([1.0, 2.0], -6150.0), ([3.0, 0.0, 4.0], -6145.0)])
+    def test_huge_noise_keeps_a_finite_eps(self, b, snr_db):
+        # ||nu|| is finite but ||nu||^2 overflows float64, so eps is taken on nu scaled by a
+        # power of two
+        b = np.array(b)
+        data = add_noise(b, "gaussian", snr_db, seed=0)
+        scale = 2.0**1000
+        nu = (data.b - b) / scale
+        assert np.isfinite(data.eps)
+        assert np.linalg.norm(nu) * scale == pytest.approx(data.eps, rel=1e-14)
+        realized = 20 * np.log10(np.linalg.norm(b) / data.eps)
+        assert realized == pytest.approx(snr_db, abs=1e-9)
 
 
 class TestDistributionalReductions:

@@ -79,11 +79,11 @@ def _check_sgb_momentum(calls):
 
 class TestProx:
     def test_hand_shrinkage(self):
-        out = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 1.0)
+        out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 1.0)
         assert np.allclose(out, np.diag([2.0, 0.0, 0.0]))
 
     def test_tau_zero_is_psd_projection(self):
-        out = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 0.0)
+        out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 0.0)
         assert np.allclose(out, np.diag([3.0, 1.0, 0.0]))
 
     def test_negative_tau_rejected(self):
@@ -100,7 +100,7 @@ class TestProx:
         V = rng.standard_normal((3, 3))
         V = (V + V.T) / 2
         tau = 0.5
-        X = prox_psd_trace(V, tau)
+        X, _ = prox_psd_trace(V, tau)
 
         def moreau(M):
             return 0.5 * np.linalg.norm(M - V) ** 2 + tau * np.trace(M).real
@@ -115,7 +115,7 @@ class TestProx:
         rng = np.random.default_rng(1)
         for _ in range(20):
             V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            out = prox_psd_trace((V + V.conj().T) / 2, 0.3)
+            out, _ = prox_psd_trace((V + V.conj().T) / 2, 0.3)
             assert np.linalg.eigvalsh(out).min() >= -1e-12
 
     @settings(max_examples=80, deadline=None)
@@ -129,11 +129,12 @@ class TestProx:
     def test_capped_prox_matches_bisection_oracle(self, field, n, seed, shift, cap):
         # a finite cap projects onto the spectraplex {X >= 0, Tr X = cap}; theta may be negative
         V = 3.0 * random_hermitian(n, field, np.random.default_rng(seed))
-        out = prox_psd_trace(V, shift, cap)
+        out, F = prox_psd_trace(V, shift, cap)
         scale = max(1.0, np.linalg.norm(V))
         assert np.linalg.eigvalsh(out).min() >= -1e-12 * scale
         assert abs(np.trace(out).real - cap) <= cap * 1e-12 + 1e-15
         assert np.linalg.norm(out - capped_prox(V, shift, cap)) <= 1e-10 * scale
+        assert np.linalg.norm(F @ F.conj().T - out) <= 1e-12 * scale
 
     @settings(max_examples=40, deadline=None)
     @given(field=st.sampled_from(["real", "complex"]), n=st.integers(1, 8), seed=st.integers(0, 2**16))
@@ -141,20 +142,20 @@ class TestProx:
         V = random_hermitian(n, field, np.random.default_rng(seed))
         for shift in (0.0, 0.3):
             expected = capped_prox(V, shift)
-            assert np.array_equal(prox_psd_trace(V, shift, np.inf), expected)
-            assert np.array_equal(prox_psd_trace(V, shift), expected)
+            assert np.array_equal(prox_psd_trace(V, shift, np.inf)[0], expected)
+            assert np.array_equal(prox_psd_trace(V, shift)[0], expected)
 
     def test_hand_capped_shrinkage(self):
         # the spectraplex projection of eigenvalues 3, 1, -2 shifts them by theta = 2 for the
         # cap 1 and theta = 1 for the cap 2, which the uncapped shrinkage by 1 matches
         V = np.diag([3.0, 1.0, -2.0])
-        assert np.allclose(prox_psd_trace(V, 1.0, cap=1.0), np.diag([1.0, 0.0, 0.0]))
-        assert np.array_equal(prox_psd_trace(V, 1.0, cap=2.0), prox_psd_trace(V, 1.0))
-        out = prox_psd_trace(np.diag([3.0, 2.0, -2.0]), 0.0, cap=3.0)
+        assert np.allclose(prox_psd_trace(V, 1.0, cap=1.0)[0], np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(prox_psd_trace(V, 1.0, cap=2.0)[0], prox_psd_trace(V, 1.0)[0])
+        out, _ = prox_psd_trace(np.diag([3.0, 2.0, -2.0]), 0.0, cap=3.0)
         assert np.allclose(out, np.diag([2.0, 1.0, 0.0]))
         # the cap 2 lifts eigenvalues 0.5, 0.2, -1 by theta = -0.65, whatever the shift
         for shift in (0.0, 0.3):
-            out = prox_psd_trace(np.diag([0.5, 0.2, -1.0]), shift, cap=2.0)
+            out, _ = prox_psd_trace(np.diag([0.5, 0.2, -1.0]), shift, cap=2.0)
             assert np.allclose(out, np.diag([1.15, 0.85, 0.0]))
 
 
@@ -386,10 +387,11 @@ class TestRegularized:
         tries, taken = zip(*steps)
         assert all(tries[k + 1] <= solver.STEP_GROW * taken[k] for k in range(len(steps) - 1))
 
-    def test_probe_steps_past_one_over_l(self, monkeypatch):
-        # on a workload shape a tau-probe starts at STEP_START/L, grows its step past that and
-        # never steps below 1/L; it pays one dense forward map, its start residual, and one prox
-        # per try, each try halving the step
+    @pytest.mark.parametrize("tau_rel", [0.5, np.inf])
+    def test_probe_steps_past_one_over_l(self, monkeypatch, tau_rel):
+        # on a workload shape a tau-probe, and the lambda form alike, starts at STEP_START/L,
+        # grows its step past that and never steps below 1/L; it pays one dense forward map,
+        # its start residual, and one prox per try, each try halving the step
         import phaselift.solver as solver
 
         ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=22)
@@ -419,7 +421,7 @@ class TestRegularized:
         monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
         monkeypatch.setattr(solver, "_fista_step", recorded)
-        solve_regularized(ens, b, 0.0, tau=0.5 * np.linalg.norm(b), max_iters=100)
+        solve_regularized(ens, b, 0.0, tau=tau_rel * np.linalg.norm(b), max_iters=100)
         assert calls["forward"] == 1
         assert steps[0][0] == solver.STEP_START * steps[0][2]
         assert all(taken >= step_min for _, taken, step_min in steps)
@@ -503,10 +505,13 @@ class TestRegularized:
         lam = 0.05 * zero_solution_lambda(ens, b)
         step = 0.1 / gram_lambda_max(ens)
         (X_ref,), (obj_ref,) = plain_proximal_gradient([ens], [b], [lam], [step], iters=20_000)
-        rep = solve_regularized(ens, b, lam)
-        obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
-        assert obj == pytest.approx(obj_ref, rel=1e-6)
-        assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-4
+        # by the KKT conditions the probe capped at tau = Tr X_ref, the one solve_constrained
+        # runs, has the lambda form's solution too
+        probe = solve_regularized(ens, b, 0.0, tau=np.trace(X_ref).real)
+        for rep in (solve_regularized(ens, b, lam), probe):
+            obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
+            assert obj == pytest.approx(obj_ref, rel=1e-6)
+            assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-4
 
 
 class TestConstrained:
