@@ -144,7 +144,7 @@ def solve_regularized(
         prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new))
         t, obj, step, trial = t_new, obj_new, s, STEP_GROW * s
         if tau < np.inf and (step_small or iters % GAP_EVERY == 0 or iters == max_iters):
-            gap, lam_used = _duality_gap(cur, b, lam, tau)
+            gap, lam_used = _duality_gap(cur, lam, tau)
             # a warm start can stall for an iteration or two before it moves
             small_gap = gap <= GAP_REL_TOL * float(r_new @ r_new)
             step_small = (step_small and iters >= GAP_EVERY) or small_gap
@@ -176,13 +176,19 @@ def _fista_step(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
         s = max(s / 2, step_min)
 
 
-def _duality_gap(cur, b, lam, tau):
+def _duality_gap(cur, lam, tau):
     """Frank-Wolfe gap over the spectraplex {X >= 0, Tr X = tau} of the iterate cur = (X, r, G),
     which bounds the objective's excess over its minimum, and the lambda-form multiplier
-    max(lam, mu), where mu = lambda_max(-G) = lambda_max(A*(-r)) may be negative."""
-    _, r, G = cur
-    mu = float(np.linalg.eigvalsh(-G)[-1])
-    return float(r @ (r + b)) + tau * mu, max(lam, mu)
+    max(lam, mu), where mu = lambda_max(-G) = lambda_max(A*(-r)) may be negative.
+
+    The gap <G, X> + tau mu = <G + mu I, X> is summed as sum_i (mu - w_i) u_i* X u_i over the
+    eigenpairs (w_i, u_i) of -G: terms >= 0 for X >= 0, where <A*(r), X> + tau mu would cancel
+    to a round-off of ||r|| ||A(X)||, far above the gap when the cap puts A(X) far from b."""
+    X, _, G = cur
+    w, U = np.linalg.eigh(-G)
+    mu = float(w[-1])
+    d = np.einsum("ij,ij->j", U.conj(), X @ U).real  # u_i* X u_i, up to round-off
+    return float((mu - w) @ np.maximum(d, 0.0)), max(lam, mu)
 
 
 def zero_solution_lambda(ens: SensingEnsemble, b: np.ndarray) -> float:
