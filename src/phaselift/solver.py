@@ -40,6 +40,8 @@ MAX_ITERS = 5000
 STEP_START = 3.5
 #: Each FISTA step first tries STEP_GROW times the last accepted step.
 STEP_GROW = 1.25
+# A warm capped prox works in [Q, VQ, ..., V^_KRYLOV_STEPS Q], Q = [basis, _KRYLOV_EXTRA columns].
+_KRYLOV_EXTRA, _KRYLOV_STEPS = 4, 3
 
 
 @dataclass
@@ -51,27 +53,48 @@ class SolveReport:
     converged: bool
 
 
-def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf):
+def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf, basis=None):
     """Prox of shift*Tr(.) over X >= 0: shrink eigenvalues by shift and clip at 0.  A finite cap
     projects onto the spectraplex {X >= 0, Tr X = cap} instead, the eigenvalues onto the simplex
     {w >= 0, sum w = cap} by a theta that may be negative; Tr X is fixed, so shift is irrelevant.
-    Returns (X, F), F the n x rank factor with X = F F* up to round-off."""
+    Returns (X, F), F the n x rank factor with X = F F* up to round-off.  A finite cap and a basis
+    that `_krylov_fits` use the Ritz pairs of V on [Q, VQ, ..., V^_KRYLOV_STEPS Q], Q = [basis,
+    _KRYLOV_EXTRA columns cos(i j)], not a full `eigh`: X is exact if they span V's eigenvectors
+    above theta, and is retaken by `eigh` if its rank passes rank(basis) + _KRYLOV_EXTRA / 2."""
     if shift < 0 or not cap >= 0:
         raise ValueError("shift and cap must be nonnegative")
-    V = as_hermitian(V)
-    w, U = np.linalg.eigh(V)  # sign convention irrelevant: only U w U* is used
-    if cap < np.inf:
-        u = w[::-1]  # eigh's order is ascending
-        excess = (np.cumsum(u) - cap) / np.arange(1, u.size + 1)
-        w = np.maximum(w - excess[np.nonzero(u >= excess)[0][-1]], 0.0)
-        w *= cap / max(w.sum(), np.finfo(float).tiny)  # undo the round-off of theta - u
-    else:
-        w = np.maximum(w - shift, 0.0)
+    V, w = as_hermitian(V), None
+    if cap < np.inf and _krylov_fits(basis, len(V)):
+        Q = [np.hstack([basis, np.cos(np.outer(range(len(V)), range(1, _KRYLOV_EXTRA + 1)))])]
+        for _ in range(_KRYLOV_STEPS):  # unit (or zero) columns: no power over- or underflows
+            Q[-1] = Q[-1] / np.maximum(np.linalg.norm(Q[-1], axis=0), np.finfo(float).tiny)
+            Q.append(V @ Q[-1])
+        Q = np.linalg.qr(np.hstack(Q))[0]
+        w, U = np.linalg.eigh(Q.conj().T @ V @ Q)
+        w, U = _simplex(w, cap), Q @ U
+        if np.count_nonzero(w) > basis.shape[1] + _KRYLOV_EXTRA / 2:
+            w = None
+    if w is None:
+        w, U = np.linalg.eigh(V)  # sign convention irrelevant: only U w U* is used
+        w = _simplex(w, cap) if cap < np.inf else np.maximum(w - shift, 0.0)
     pos = w > 0
     U, w = U[:, pos], w[pos]
     X = (U * w) @ U.conj().T
     X = (X + X.conj().T) / 2
     return X, U * np.sqrt(w)
+
+
+def _simplex(w, cap):
+    """Ascending eigenvalues w projected onto the simplex {w >= 0, sum w = cap}."""
+    u = w[::-1]
+    excess = (np.cumsum(u) - cap) / np.arange(1, u.size + 1)
+    w = np.maximum(w - excess[np.nonzero(u >= excess)[0][-1]], 0.0)
+    return w * (cap / max(w.sum(), np.finfo(float).tiny))  # undo the round-off of theta - u
+
+
+def _krylov_fits(basis, n):
+    """Whether a basis spans a Krylov space at most n / 2 wide."""
+    return basis is not None and (_KRYLOV_STEPS + 1) * (basis.shape[1] + _KRYLOV_EXTRA) <= n / 2
 
 
 def estimate_lipschitz(ens: SensingEnsemble) -> float:
@@ -125,23 +148,29 @@ def solve_regularized(
         tr = np.trace(X).real
         X = X * (tau / tr) if tr > 0 else np.eye(ens.n, dtype=X.dtype) * (tau / ens.n)
     r = apply_measurement(ens, X) - b
-    cur = prev = (X, r, apply_adjoint(ens, r))
+    cur = prev = (X, r, apply_adjoint(ens, r), None)  # no factor yet: the first prox is exact
     obj = 0.5 * float(r @ r) + lam * float(np.trace(X).real)
     t, lam_used = 1.0, lam
     for iters in range(1, max_iters + 1):
-        X_new, r_new, obj_new, s, t_new = _fista_step(
+        X_new, r_new, obj_new, s, t_new, F = _fista_step(
             ens, b, lam, tau, cur, prev, t, step, trial, step_min
         )
         if not np.isfinite(obj_new):
             raise RuntimeError("objective is not finite: inf/NaN or overflow in the data")
         if obj_new - obj > rise_tol * np.linalg.norm(cur[1]):
             # kill momentum and retake the step from the last iterate
-            t = 1.0
-            X_new, r_new, obj_new, s, t_new = _fista_step(
-                ens, b, lam, tau, cur, cur, t, step, s, step_min
+            t, prev = 1.0, cur
+            X_new, r_new, obj_new, s, t_new, F = _fista_step(
+                ens, b, lam, tau, cur, prev, t, step, s, step_min
             )
         step_small = np.linalg.norm(X_new - cur[0]) <= STEP_REL_TOL * np.linalg.norm(X_new)
-        prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new))
+        if step_small and tau < np.inf and _krylov_fits(cur[3], ens.n):
+            # a Krylov prox may stall short of the fixed point: retake the step with `eigh`
+            X_new, r_new, obj_new, s, t_new, F = _fista_step(
+                ens, b, lam, tau, cur[:3] + (None,), prev, t, step, s, step_min
+            )
+            step_small = np.linalg.norm(X_new - cur[0]) <= STEP_REL_TOL * np.linalg.norm(X_new)
+        prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
         t, obj, step, trial = t_new, obj_new, s, STEP_GROW * s
         if tau < np.inf and (step_small or iters % GAP_EVERY == 0 or iters == max_iters):
             gap, lam_used = _duality_gap(cur, lam, tau)
@@ -150,41 +179,42 @@ def solve_regularized(
             step_small = (step_small and iters >= GAP_EVERY) or small_gap
         if step_small:
             break
-    X, r, _ = cur
+    X, r, _, _ = cur
     return SolveReport(X, iters, float(np.linalg.norm(r)), float(lam_used), converged=step_small)
 
 
 def _fista_step(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
     """One FISTA step with backtracking (Scheinberg, Goldfarb & Bai 2014) from the iterate
-    cur = (X, r, G) and the one before it, prev; step is the last accepted step.  Each try at
+    cur = (X, r, G, F) and the one before it, prev; step is the last accepted step.  Each try at
     s (first `trial`, then halved, never below step_min) sets t_new = (1 + sqrt(1 + 4 (step / s)
     t^2)) / 2 and Y = X + (t - 1) / t_new (X - X_prev), whose residual rY and gradient GY follow
     by linearity, until ||A(X_new - Y)||^2 <= ||X_new - Y||^2 / s (Beck & Teboulle 2009); that
-    A(X_new - Y) is r_new - rY.  Returns X_new, its residual and objective, s and t_new."""
-    (X, r, G), (Xp, rp, Gp) = cur, prev
+    A(X_new - Y) is r_new - rY.  The prox takes X's factor F (None: exact) as its basis.
+    Returns X_new, its residual and objective, s, t_new and X_new's factor."""
+    (X, r, G, F), (Xp, rp, Gp, _) = cur, prev
     s = trial
     while True:
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * (step / s) * t * t)) / 2.0
         beta = (t - 1.0) / t_new
         Y, rY, GY = X + beta * (X - Xp), r + beta * (r - rp), G + beta * (G - Gp)
-        X_new, F = prox_psd_trace(Y - s * GY, s * lam, tau)
-        r_new = _forward_factor(ens, F) - b
+        X_new, F_new = prox_psd_trace(Y - s * GY, s * lam, tau, basis=F)
+        r_new = _forward_factor(ens, F_new) - b
         d = r_new - rY
         if s <= step_min or s * float(d @ d) <= np.linalg.norm(X_new - Y) ** 2:
             obj = 0.5 * float(r_new @ r_new) + lam * float(np.trace(X_new).real)
-            return X_new, r_new, obj, s, t_new
+            return X_new, r_new, obj, s, t_new, F_new
         s = max(s / 2, step_min)
 
 
 def _duality_gap(cur, lam, tau):
-    """Frank-Wolfe gap over the spectraplex {X >= 0, Tr X = tau} of the iterate cur = (X, r, G),
+    """Frank-Wolfe gap over the spectraplex {X >= 0, Tr X = tau} of the iterate cur = (X, r, G, F),
     which bounds the objective's excess over its minimum, and the lambda-form multiplier
     max(lam, mu), where mu = lambda_max(-G) = lambda_max(A*(-r)) may be negative.
 
     The gap <G, X> + tau mu = <G + mu I, X> is summed as sum_i (mu - w_i) u_i* X u_i over the
     eigenpairs (w_i, u_i) of -G: terms >= 0 for X >= 0, where <A*(r), X> + tau mu would cancel
     to a round-off of ||r|| ||A(X)||, far above the gap when the cap puts A(X) far from b."""
-    X, _, G = cur
+    X, _, G, _ = cur
     w, U = np.linalg.eigh(-G)
     mu = float(w[-1])
     d = np.einsum("ij,ij->j", U.conj(), X @ U).real  # u_i* X u_i, up to round-off

@@ -314,6 +314,28 @@ class TestRecoverySweeps:
             written.append((out.read_bytes(), timing_keys))
         assert written[0] == written[1]
 
+    def test_worker_pool_writes_same_bytes_at_a_krylov_shape(self, tmp_path, monkeypatch):
+        # real n = 48 probes reach rank <= 2, where the capped prox takes its Krylov path; that
+        # path may keep no state between calls, or two workers would write other bytes
+        out = tmp_path / "pool.csv"
+        cfg = ExperimentConfig(
+            experiment="phase-transition", n=48, m_over_n=[6], field="real", trials=2, out=str(out)
+        )
+        qr, krylov = np.linalg.qr, []  # only the Krylov path calls qr
+
+        def counted_qr(*args, **kwargs):
+            krylov.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        written = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PHASELIFT_THREADS", threads)
+            run_experiment(cfg)
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        assert krylov
+
 
 class TestStudies:
     def test_certificate_study_pass_rate(self, tmp_path):

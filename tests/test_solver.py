@@ -46,7 +46,7 @@ def _count_probes(monkeypatch):
 def _extrapolated(cur, prev, t, t_new):
     """(Y, rY, GY) of a FISTA step from the iterates cur and prev, by linearity."""
     beta = (t - 1.0) / t_new
-    return tuple(c + beta * (c - p) for c, p in zip(cur, prev))
+    return tuple(c + beta * (c - p) for c, p in zip(cur[:3], prev[:3]))
 
 
 def _check_sgb_momentum(calls):
@@ -157,6 +157,88 @@ class TestProx:
         for shift in (0.0, 0.3):
             out, _ = prox_psd_trace(np.diag([0.5, 0.2, -1.0]), shift, cap=2.0)
             assert np.allclose(out, np.diag([1.15, 0.85, 0.0]))
+
+
+def _gaussian_columns(n, k, field, rng):
+    B = rng.standard_normal((n, k))
+    return B + 1j * rng.standard_normal((n, k)) if field == "complex" else B
+
+
+class TestKrylovProx:
+    """The capped prox given a basis, at n >= 8 (rank + 4), where its block Krylov space fits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        k=st.integers(1, 3),
+        spikes=st.integers(0, 3),
+        extra_n=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+        kind=st.sampled_from(["random", "rank-deficient", "zero-column"]),
+        cap=st.floats(1e-3, 10.0),
+    )
+    def test_any_basis_gives_a_point_of_the_spectraplex(
+        self, field, k, spikes, extra_n, seed, kind, cap
+    ):
+        import phaselift.solver as solver
+
+        n = 8 * (k + 4) + extra_n
+        rng = np.random.default_rng(seed)
+        U = _gaussian_columns(n, spikes, field, rng)
+        V = random_hermitian(n, field, rng) / np.sqrt(n) + U @ U.conj().T
+        B = _gaussian_columns(n, k, field, rng)
+        if kind == "rank-deficient":
+            B = B[:, :1] * rng.standard_normal(k)
+        elif kind == "zero-column":
+            B[:, 0] = 0.0
+        assert solver._krylov_fits(B, n)
+        X, F = prox_psd_trace(V, 0.0, cap, basis=B)
+        assert np.linalg.eigvalsh(X).min() >= -1e-12 * cap
+        assert np.trace(X).real == pytest.approx(cap, rel=1e-12)
+        assert np.linalg.norm(X - F @ F.conj().T) <= 1e-12 * np.linalg.norm(X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        spikes=st.integers(1, 3),
+        extra_n=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+        cap=st.floats(1e-3, 10.0),
+    )
+    def test_basis_spanning_the_eigenvectors_above_theta_is_exact(
+        self, field, spikes, extra_n, seed, cap
+    ):
+        # spikes of size ~n over a floor of norm ~2 keep the rank <= spikes for cap <= 10
+        n = 8 * (spikes + 4) + extra_n
+        rng = np.random.default_rng(seed)
+        U = _gaussian_columns(n, spikes, field, rng)
+        V = random_hermitian(n, field, rng) / np.sqrt(n) + U @ U.conj().T
+        X_ref, F_ref = prox_psd_trace(V, 0.0, cap)
+        r = F_ref.shape[1]
+        assert r <= spikes
+        # any basis of the span of the top r eigenvectors
+        basis = np.linalg.eigh(V)[1][:, -r:] @ _gaussian_columns(r, r, field, rng)
+        X, F = prox_psd_trace(V, 0.0, cap, basis=basis)
+        assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
+        assert F.shape[1] == r
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        extra_n=st.integers(0, 40),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rank_jump_past_the_oversampling_is_the_eigh_result(self, field, extra_n, seed):
+        # a flat spectrum and cap = n keep every eigenvalue, and every Ritz value, above theta
+        import phaselift.solver as solver
+
+        n = 40 + extra_n
+        rng = np.random.default_rng(seed)
+        V = 5.0 * np.eye(n) + random_hermitian(n, field, rng) / n
+        X_ref, F_ref = prox_psd_trace(V, 0.0, float(n))
+        X, F = prox_psd_trace(V, 0.0, float(n), basis=_gaussian_columns(n, 1, field, rng))
+        assert F_ref.shape[1] > 1 + solver._KRYLOV_EXTRA / 2
+        assert np.array_equal(X, X_ref) and np.array_equal(F, F_ref)
 
 
 class TestLipschitz:
@@ -372,7 +454,7 @@ class TestRegularized:
 
         def checked(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
             out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
-            X, r, obj, taken, t_new = out
+            X, r, obj, taken, t_new, _ = out
             Y, rY, _ = _extrapolated(cur, prev, t, t_new)
             slack = 1e-12 * float(b @ b) * taken
             assert step_min <= taken <= trial
@@ -449,7 +531,7 @@ class TestRegularized:
 
         def checked(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
             out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
-            for X, r, G in (cur, prev):
+            for X, r, G, _ in (cur, prev):
                 assert np.array_equal(G, apply_adjoint(ens, r))
             _, rY, GY = _extrapolated(cur, prev, t, out[4])
             # the round-off of A*(r) scales with A*(|r|), not with A*(r), which may cancel
@@ -642,3 +724,52 @@ class TestConstrained:
         assert exact.iterations == ref.iterations and exact.converged == ref.converged
         assert np.array_equal(exact.X_hat / c, ref.X_hat)
         assert exact.residual / c == ref.residual and exact.lambda_used / c == ref.lambda_used
+
+    def test_krylov_probes_converge_reproducibly_and_stop_on_an_exact_step(self, monkeypatch):
+        # at real n = 64 the warm prox takes the Krylov path on part of its calls; a probe that
+        # stops on the step rule (not on its gap) must have taken its last step through eigh
+        import phaselift.solver as solver
+
+        n, instances = 64, []
+        for seed in range(3):
+            x = np.random.default_rng(seed).standard_normal(n)
+            ens = sample_ensemble(n, 6 * n, "real-gaussian", seed=seed)
+            instances.append((ens, IntensityData(intensities(ens, x), 0.0), x))
+        first = [solve_constrained(ens, data).X_hat for ens, data, _ in instances]
+
+        shapes, full_eigh, probes, gap_small = [], [], [], []
+        eigh, prox, probe, gap = (
+            np.linalg.eigh, solver.prox_psd_trace, solver.solve_regularized, solver._duality_gap
+        )
+
+        def recorded_eigh(A, *args, **kwargs):
+            shapes.append(A.shape[0])
+            return eigh(A, *args, **kwargs)
+
+        def recorded_prox(*args, **kwargs):
+            shapes.clear()
+            out = prox(*args, **kwargs)
+            full_eigh.append(n in shapes)
+            return out
+
+        def recorded_gap(cur, lam, tau):
+            out = gap(cur, lam, tau)
+            gap_small.append(out[0] <= solver.GAP_REL_TOL * float(cur[1] @ cur[1]))
+            return out
+
+        def recorded_probe(*args, **kwargs):
+            rep = probe(*args, **kwargs)
+            probes.append((rep.converged and not gap_small[-1], full_eigh[-1]))
+            return rep
+
+        monkeypatch.setattr(np.linalg, "eigh", recorded_eigh)
+        monkeypatch.setattr(solver, "prox_psd_trace", recorded_prox)
+        monkeypatch.setattr(solver, "_duality_gap", recorded_gap)
+        monkeypatch.setattr(solver, "solve_regularized", recorded_probe)
+        for (ens, data, x), X_hat in zip(instances, first):
+            rep = solve_constrained(ens, data)
+            assert rep.converged and recover(rep.X_hat, x_true=x).rel_mse <= 1e-4
+            assert np.array_equal(rep.X_hat, X_hat)
+        assert full_eigh.count(False) > 0  # the Krylov path ran
+        step_stops = [last_full for by_step, last_full in probes if by_step]
+        assert step_stops and all(step_stops)
