@@ -1,12 +1,7 @@
-"""Trace-regularized least squares over the PSD cone.
-
-Accelerated proximal gradient (with adaptive restart) for
-
-    minimize  0.5 * ||A(X) - b||^2 + lam * Tr(X)   s.t.  X >= 0  (or Tr X = tau),
-
-plus Newton root finding on the Pareto curve phi(tau) = min ||A(X) - b|| over
-{X >= 0, Tr X <= tau} for min Tr X s.t. ||A(X) - b||_2 <= eps (van den Berg &
-Friedlander, "Probing the Pareto frontier", SIAM J. Sci. Comput. 2008).
+"""min Tr X s.t. ||A(X) - b||_2 <= eps, X >= 0, by Newton root finding on the Pareto curve
+phi(tau) = min ||A(X) - b|| over {X >= 0, Tr X <= tau} (van den Berg & Friedlander, "Probing
+the Pareto frontier", SIAM J. Sci. Comput. 2008).  Each probe is accelerated projected gradient
+(FISTA with adaptive restart) for 0.5 * ||A(X) - b||^2 on the spectraplex {X >= 0, Tr X = tau}.
 """
 
 from __future__ import annotations
@@ -15,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hermitian import DTYPES, as_hermitian
+from .hermitian import DTYPES, _checked, as_hermitian, field_of
 from .measurement import (
     IntensityData,
     SensingEnsemble,
@@ -30,11 +25,12 @@ NOISELESS_EPS_REL = 1e-5
 EPS_REL_TOL = 1e-3
 #: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * ||X_new||.
 STEP_REL_TOL = 3e-9
-#: Under a finite trace cap FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2.
+#: FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2 after a step ||X_new - X|| <=
+#: GAP_REL_TOL * ||X_new||, checked every GAP_EVERY iterations.
 GAP_REL_TOL, GAP_EVERY = 1e-5, 10
 #: FISTA restarts when the objective rises by more than its round-off, RISE_TOL * ||b|| * ||r||.
 RISE_TOL = 1e-13
-#: Default cap on FISTA iterations per regularized solve (per probe).
+#: Default cap on FISTA iterations per probe.
 MAX_ITERS = 5000
 #: The first step tries STEP_START/L; the curvature on trace-zero X (a probe's steps) is ~L/4.
 STEP_START = 3.5
@@ -53,18 +49,19 @@ class SolveReport:
     converged: bool
 
 
-def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf, basis=None):
-    """Prox of shift*Tr(.) over X >= 0: shrink eigenvalues by shift and clip at 0.  A finite cap
-    projects onto the spectraplex {X >= 0, Tr X = cap} instead, the eigenvalues onto the simplex
-    {w >= 0, sum w = cap} by a theta that may be negative; Tr X is fixed, so shift is irrelevant.
-    Returns (X, F), F the n x rank factor with X = F F* up to round-off.  A finite cap and a basis
-    that `_krylov_fits` use the Ritz pairs of V on [Q, VQ, ..., V^_KRYLOV_STEPS Q], Q = [basis,
-    _KRYLOV_EXTRA columns cos(i j)], not a full `eigh`: X is exact if they span V's eigenvectors
-    above theta, and is retaken by `eigh` if its rank passes rank(basis) + _KRYLOV_EXTRA / 2."""
-    if shift < 0 or not cap >= 0:
-        raise ValueError("shift and cap must be nonnegative")
+def prox_psd_trace(V: np.ndarray, cap: float, basis=None):
+    """Projection onto the spectraplex {X >= 0, Tr X = cap}: the eigenvalues w go onto the simplex
+    {w >= 0, sum w = cap} as max(w - theta, 0), theta of either sign.  Returns (X, F), F the
+    n x rank factor with X = F F* up to round-off.  A basis (of V's field) that `_krylov_fits`
+    uses the Ritz pairs of V on [Q, VQ, ..., V^_KRYLOV_STEPS Q], Q = [basis, _KRYLOV_EXTRA
+    columns cos(i j)], not a full `eigh`: X is exact if they span V's eigenvectors above theta,
+    and is retaken by `eigh` if its rank passes rank(basis) + _KRYLOV_EXTRA / 2."""
+    if not 0 <= cap < np.inf:
+        raise ValueError("cap must be finite and nonnegative")
     V, w = as_hermitian(V), None
-    if cap < np.inf and _krylov_fits(basis, len(V)):
+    if basis is not None:
+        basis = _checked(np.asarray(basis), field_of(V), "basis")
+    if _krylov_fits(basis, len(V)):
         Q = [np.hstack([basis, np.cos(np.outer(range(len(V)), range(1, _KRYLOV_EXTRA + 1)))])]
         for _ in range(_KRYLOV_STEPS):  # unit (or zero) columns: no power over- or underflows
             Q[-1] = Q[-1] / np.maximum(np.linalg.norm(Q[-1], axis=0), np.finfo(float).tiny)
@@ -76,7 +73,7 @@ def prox_psd_trace(V: np.ndarray, shift: float, cap: float = np.inf, basis=None)
             w = None
     if w is None:
         w, U = np.linalg.eigh(V)  # sign convention irrelevant: only U w U* is used
-        w = _simplex(w, cap) if cap < np.inf else np.maximum(w - shift, 0.0)
+        w = _simplex(w, cap)
     pos = w > 0
     U, w = U[:, pos], w[pos]
     X = (U * w) @ U.conj().T
@@ -116,24 +113,21 @@ def estimate_lipschitz(ens: SensingEnsemble) -> float:
 def solve_regularized(
     ens: SensingEnsemble,
     b: np.ndarray,
-    lam: float,
+    tau: float,
     X0: np.ndarray | None = None,
     max_iters: int = MAX_ITERS,
-    tau: float = np.inf,
 ) -> SolveReport:
-    """FISTA with adaptive restart for the trace-regularized problem, or on the spectraplex
-    {X >= 0, Tr X = tau} for a finite tau.
+    """One Pareto probe: FISTA with adaptive restart for 0.5 * ||A(X) - b||^2 on the spectraplex
+    {X >= 0, Tr X = tau}, from X0 rescaled to trace tau (no X0: tau I / n).
 
     Each iterate carries its residual r = A(X) - b and gradient G = A*(r).  Only the start
     pays a dense forward map: a step maps the prox's factor forward (`_forward_factor`) and
     takes one adjoint, and the extrapolated point's residual and gradient follow by linearity.
     The first step tries STEP_START/L, each later one STEP_GROW times the last accepted step,
-    and backtracks as `_fista_step` says.  A finite tau rescales X0 to trace tau (no X0:
-    tau I / n) and adds the `_duality_gap` stop, checked every GAP_EVERY iterations, on the
-    step rule from the first check on, and at max_iters; lambda_used is then its multiplier.
-    """
-    if lam < 0 or not tau >= 0:
-        raise ValueError("lambda and tau must be nonnegative")
+    and backtracks as `_fista_step` says.  The `_duality_gap` is checked every GAP_EVERY
+    iterations, on the step rule and at max_iters; lambda_used is its multiplier."""
+    if not 0 <= tau < np.inf:
+        raise ValueError("tau must be finite and nonnegative")
     if max_iters <= 0:
         raise ValueError("max_iters must be positive")
     b = np.asarray(b, dtype=np.float64)
@@ -144,16 +138,14 @@ def solve_regularized(
     step = trial = STEP_START * step_min
 
     X = np.zeros((ens.n, ens.n), DTYPES[ens.field]) if X0 is None else as_hermitian(X0, ens.field)
-    if tau < np.inf:  # start on the spectraplex, so that every step is trace-zero
-        tr = np.trace(X).real
-        X = X * (tau / tr) if tr > 0 else np.eye(ens.n, dtype=X.dtype) * (tau / ens.n)
+    tr = np.trace(X).real  # start on the spectraplex, so that every step is trace-zero
+    X = X * (tau / tr) if tr > 0 else np.eye(ens.n, dtype=X.dtype) * (tau / ens.n)
     r = apply_measurement(ens, X) - b
     cur = prev = (X, r, apply_adjoint(ens, r), None)  # no factor yet: the first prox is exact
-    obj = 0.5 * float(r @ r) + lam * float(np.trace(X).real)
-    t, lam_used = 1.0, lam
+    obj, t = 0.5 * float(r @ r), 1.0
     for iters in range(1, max_iters + 1):
         X_new, r_new, obj_new, s, t_new, F = _fista_step(
-            ens, b, lam, tau, cur, prev, t, step, trial, step_min
+            ens, b, tau, cur, prev, t, step, trial, step_min
         )
         if not np.isfinite(obj_new):
             raise RuntimeError("objective is not finite: inf/NaN or overflow in the data")
@@ -161,29 +153,31 @@ def solve_regularized(
             # kill momentum and retake the step from the last iterate
             t, prev = 1.0, cur
             X_new, r_new, obj_new, s, t_new, F = _fista_step(
-                ens, b, lam, tau, cur, prev, t, step, s, step_min
+                ens, b, tau, cur, prev, t, step, s, step_min
             )
-        step_small = np.linalg.norm(X_new - cur[0]) <= STEP_REL_TOL * np.linalg.norm(X_new)
-        if step_small and tau < np.inf and _krylov_fits(cur[3], ens.n):
+        dx, xn = np.linalg.norm(X_new - cur[0]), np.linalg.norm(X_new)
+        if dx <= STEP_REL_TOL * xn and _krylov_fits(cur[3], ens.n):
             # a Krylov prox may stall short of the fixed point: retake the step with `eigh`
             X_new, r_new, obj_new, s, t_new, F = _fista_step(
-                ens, b, lam, tau, cur[:3] + (None,), prev, t, step, s, step_min
+                ens, b, tau, cur[:3] + (None,), prev, t, step, s, step_min
             )
-            step_small = np.linalg.norm(X_new - cur[0]) <= STEP_REL_TOL * np.linalg.norm(X_new)
+            dx, xn = np.linalg.norm(X_new - cur[0]), np.linalg.norm(X_new)
         prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
         t, obj, step, trial = t_new, obj_new, s, STEP_GROW * s
-        if tau < np.inf and (step_small or iters % GAP_EVERY == 0 or iters == max_iters):
-            gap, lam_used = _duality_gap(cur, lam, tau)
-            # a warm start can stall for an iteration or two before it moves
-            small_gap = gap <= GAP_REL_TOL * float(r_new @ r_new)
-            step_small = (step_small and iters >= GAP_EVERY) or small_gap
+        step_small = dx <= STEP_REL_TOL * xn
+        if step_small or iters % GAP_EVERY == 0 or iters == max_iters:
+            gap, lambda_used = _duality_gap(cur)
+            # a warm start can stall for an iteration or two before it moves; the gap certifies
+            # the objective, and a short step that X has settled
+            settled = gap <= GAP_REL_TOL * float(r_new @ r_new) and dx <= GAP_REL_TOL * xn
+            step_small = (step_small and iters >= GAP_EVERY) or settled
         if step_small:
             break
     X, r, _, _ = cur
-    return SolveReport(X, iters, float(np.linalg.norm(r)), float(lam_used), converged=step_small)
+    return SolveReport(X, iters, float(np.linalg.norm(r)), float(lambda_used), converged=step_small)
 
 
-def _fista_step(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
+def _fista_step(ens, b, tau, cur, prev, t, step, trial, step_min):
     """One FISTA step with backtracking (Scheinberg, Goldfarb & Bai 2014) from the iterate
     cur = (X, r, G, F) and the one before it, prev; step is the last accepted step.  Each try at
     s (first `trial`, then halved, never below step_min) sets t_new = (1 + sqrt(1 + 4 (step / s)
@@ -197,19 +191,18 @@ def _fista_step(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
         t_new = (1.0 + np.sqrt(1.0 + 4.0 * (step / s) * t * t)) / 2.0
         beta = (t - 1.0) / t_new
         Y, rY, GY = X + beta * (X - Xp), r + beta * (r - rp), G + beta * (G - Gp)
-        X_new, F_new = prox_psd_trace(Y - s * GY, s * lam, tau, basis=F)
+        X_new, F_new = prox_psd_trace(Y - s * GY, tau, basis=F)
         r_new = _forward_factor(ens, F_new) - b
         d = r_new - rY
         if s <= step_min or s * float(d @ d) <= np.linalg.norm(X_new - Y) ** 2:
-            obj = 0.5 * float(r_new @ r_new) + lam * float(np.trace(X_new).real)
-            return X_new, r_new, obj, s, t_new, F_new
+            return X_new, r_new, 0.5 * float(r_new @ r_new), s, t_new, F_new
         s = max(s / 2, step_min)
 
 
-def _duality_gap(cur, lam, tau):
+def _duality_gap(cur):
     """Frank-Wolfe gap over the spectraplex {X >= 0, Tr X = tau} of the iterate cur = (X, r, G, F),
-    which bounds the objective's excess over its minimum, and the lambda-form multiplier
-    max(lam, mu), where mu = lambda_max(-G) = lambda_max(A*(-r)) may be negative.
+    which bounds the objective's excess over its minimum, and the trace multiplier max(0, mu),
+    where mu = lambda_max(-G) = lambda_max(A*(-r)) may be negative.
 
     The gap <G, X> + tau mu = <G + mu I, X> is summed as sum_i (mu - w_i) u_i* X u_i over the
     eigenpairs (w_i, u_i) of -G: terms >= 0 for X >= 0, where <A*(r), X> + tau mu would cancel
@@ -218,14 +211,14 @@ def _duality_gap(cur, lam, tau):
     w, U = np.linalg.eigh(-G)
     mu = float(w[-1])
     d = np.einsum("ij,ij->j", U.conj(), X @ U).real  # u_i* X u_i, up to round-off
-    return float((mu - w) @ np.maximum(d, 0.0)), max(lam, mu)
+    return float((mu - w) @ np.maximum(d, 0.0)), max(0.0, mu)
 
 
 def zero_solution_lambda(ens: SensingEnsemble, b: np.ndarray) -> float:
-    """Smallest lambda at which X = 0 solves the regularized problem.
+    """Newton's first slope: the trace multiplier of X = 0, lambda_max(A*(b)) clipped at 0.
 
-    First-order optimality of 0 over the PSD cone reduces to
-    lam >= lambda_max(A*(b)).
+    X = 0 minimizes 0.5 * ||A(X) - b||^2 + lambda * Tr X over X >= 0 exactly when lambda is
+    at least lambda_max(A*(b)), so the Pareto curve starts with slope -max(that, 0) / ||b||.
     """
     w = np.linalg.eigvalsh(apply_adjoint(ens, np.asarray(b, dtype=np.float64)))
     return max(float(w[-1]), 0.0)
@@ -258,7 +251,7 @@ def solve_constrained(
     while rep.residual > eps and rep.lambda_used > 0.0:  # at the start, X = 0 may already do
         phi = rep.residual
         tau += (phi - eps * (1.0 - EPS_REL_TOL)) * phi / rep.lambda_used
-        rep = solve_regularized(ens, b, 0.0, X0=rep.X_hat, max_iters=max_iters, tau=tau)
+        rep = solve_regularized(ens, b, tau, X0=rep.X_hat, max_iters=max_iters)
         total_iters += rep.iterations
         if phi - rep.residual < EPS_REL_TOL * eps:
             break

@@ -40,19 +40,16 @@ def plain_proximal_gradient(ensembles, bs, lams, steps, iters):
     return X, 0.5 * np.sum(r * r, axis=1) + lam * np.trace(X, axis1=1, axis2=2).real
 
 
-def capped_prox(V, shift, cap=np.inf, bisections=200):
-    """Eigenvalue prox: shrink by shift and clip at 0, or, under a finite cap, project onto
-    the spectraplex {X >= 0, Tr X = cap} with the theta, of either sign, that bisection finds
-    for sum max(w - theta, 0) = cap (the top eigenvalue minus cap gives a sum >= cap)."""
+def capped_prox(V, cap, bisections=200):
+    """Eigenvalue projection onto the spectraplex {X >= 0, Tr X = cap}, with the theta, of
+    either sign, that bisection finds for sum max(w - theta, 0) = cap (the top eigenvalue
+    minus cap gives a sum >= cap)."""
     w, U = np.linalg.eigh((V + V.conj().T) / 2)
-    if cap < np.inf:
-        lo, hi = float(w.max()) - cap, float(w.max())
-        for _ in range(bisections):
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if np.maximum(w - mid, 0.0).sum() > cap else (lo, mid)
-        w = np.maximum(w - hi, 0.0)
-    else:
-        w = np.maximum(w - shift, 0.0)
+    lo, hi = float(w.max()) - cap, float(w.max())
+    for _ in range(bisections):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if np.maximum(w - mid, 0.0).sum() > cap else (lo, mid)
+    w = np.maximum(w - hi, 0.0)
     pos = w > 0
     if not np.any(pos):
         return np.zeros_like(V)

@@ -36,7 +36,7 @@ def _count_probes(monkeypatch):
     original = solver.solve_regularized
 
     def counted(*args, **kwargs):
-        probes.append(kwargs.get("tau"))
+        probes.append(args[2])
         return original(*args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_regularized", counted)
@@ -79,37 +79,31 @@ def _check_sgb_momentum(calls):
 
 class TestProx:
     def test_hand_shrinkage(self):
-        out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 1.0)
+        # the spectraplex projection of eigenvalues 3, 1, -2 with the cap 2 shifts them by 1
+        out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 2.0)
         assert np.allclose(out, np.diag([2.0, 0.0, 0.0]))
 
-    def test_tau_zero_is_psd_projection(self):
-        out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 0.0)
+    def test_cap_at_the_positive_trace_is_psd_projection(self):
+        out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 4.0)
         assert np.allclose(out, np.diag([3.0, 1.0, 0.0]))
 
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            prox_psd_trace(np.eye(2), -0.1)
+    def test_negative_nan_or_infinite_cap_rejected(self):
+        for cap in (-1.0, float("nan"), np.inf):
+            with pytest.raises(ValueError, match="cap"):
+                prox_psd_trace(np.eye(2), cap)
 
-    def test_negative_or_nan_cap_rejected(self):
-        for cap in (-1.0, float("nan")):
-            with pytest.raises(ValueError):
-                prox_psd_trace(np.eye(2), 0.0, cap)
-
-    def test_local_optimality_against_sampled_psd_perturbations(self):
+    def test_local_optimality_against_sampled_spectraplex_points(self):
         rng = np.random.default_rng(0)
         V = rng.standard_normal((3, 3))
         V = (V + V.T) / 2
-        tau = 0.5
-        X, _ = prox_psd_trace(V, tau)
-
-        def moreau(M):
-            return 0.5 * np.linalg.norm(M - V) ** 2 + tau * np.trace(M).real
-
-        base = moreau(X)
+        cap = 0.5
+        X, _ = prox_psd_trace(V, cap)
+        base = np.linalg.norm(X - V)
         for _ in range(500):
-            B = rng.standard_normal((3, 3)) * 0.1
-            P = X + B @ B.T  # random PSD perturbation keeps feasibility
-            assert moreau(P) > base
+            B = rng.standard_normal((3, 3))
+            S = cap * (B @ B.T) / np.trace(B @ B.T)
+            P = X + 0.1 * rng.uniform() * (S - X)  # convex combinations stay on the spectraplex
+            assert np.linalg.norm(P - V) > base
 
     def test_output_is_psd(self):
         rng = np.random.default_rng(1)
@@ -123,40 +117,28 @@ class TestProx:
         field=st.sampled_from(["real", "complex"]),
         n=st.integers(1, 8),
         seed=st.integers(0, 2**16),
-        shift=st.floats(0.0, 2.0),
         cap=st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
     )
-    def test_capped_prox_matches_bisection_oracle(self, field, n, seed, shift, cap):
-        # a finite cap projects onto the spectraplex {X >= 0, Tr X = cap}; theta may be negative
+    def test_capped_prox_matches_bisection_oracle(self, field, n, seed, cap):
+        # the eigenvalues go onto the simplex {w >= 0, sum w = cap}; theta may be negative
         V = 3.0 * random_hermitian(n, field, np.random.default_rng(seed))
-        out, F = prox_psd_trace(V, shift, cap)
+        out, F = prox_psd_trace(V, cap)
         scale = max(1.0, np.linalg.norm(V))
         assert np.linalg.eigvalsh(out).min() >= -1e-12 * scale
         assert abs(np.trace(out).real - cap) <= cap * 1e-12 + 1e-15
-        assert np.linalg.norm(out - capped_prox(V, shift, cap)) <= 1e-10 * scale
+        assert np.linalg.norm(out - capped_prox(V, cap)) <= 1e-10 * scale
         assert np.linalg.norm(F @ F.conj().T - out) <= 1e-12 * scale
-
-    @settings(max_examples=40, deadline=None)
-    @given(field=st.sampled_from(["real", "complex"]), n=st.integers(1, 8), seed=st.integers(0, 2**16))
-    def test_infinite_cap_is_bitwise_uncapped_prox(self, field, n, seed):
-        V = random_hermitian(n, field, np.random.default_rng(seed))
-        for shift in (0.0, 0.3):
-            expected = capped_prox(V, shift)
-            assert np.array_equal(prox_psd_trace(V, shift, np.inf)[0], expected)
-            assert np.array_equal(prox_psd_trace(V, shift)[0], expected)
 
     def test_hand_capped_shrinkage(self):
         # the spectraplex projection of eigenvalues 3, 1, -2 shifts them by theta = 2 for the
-        # cap 1 and theta = 1 for the cap 2, which the uncapped shrinkage by 1 matches
+        # cap 1, and that of 3, 2, -2 by theta = 0 for the cap 3
         V = np.diag([3.0, 1.0, -2.0])
-        assert np.allclose(prox_psd_trace(V, 1.0, cap=1.0)[0], np.diag([1.0, 0.0, 0.0]))
-        assert np.array_equal(prox_psd_trace(V, 1.0, cap=2.0)[0], prox_psd_trace(V, 1.0)[0])
-        out, _ = prox_psd_trace(np.diag([3.0, 2.0, -2.0]), 0.0, cap=3.0)
+        assert np.allclose(prox_psd_trace(V, cap=1.0)[0], np.diag([1.0, 0.0, 0.0]))
+        out, _ = prox_psd_trace(np.diag([3.0, 2.0, -2.0]), cap=3.0)
         assert np.allclose(out, np.diag([2.0, 1.0, 0.0]))
-        # the cap 2 lifts eigenvalues 0.5, 0.2, -1 by theta = -0.65, whatever the shift
-        for shift in (0.0, 0.3):
-            out, _ = prox_psd_trace(np.diag([0.5, 0.2, -1.0]), shift, cap=2.0)
-            assert np.allclose(out, np.diag([1.15, 0.85, 0.0]))
+        # the cap 2 lifts eigenvalues 0.5, 0.2, -1 by theta = -0.65
+        out, _ = prox_psd_trace(np.diag([0.5, 0.2, -1.0]), cap=2.0)
+        assert np.allclose(out, np.diag([1.15, 0.85, 0.0]))
 
 
 def _gaussian_columns(n, k, field, rng):
@@ -192,7 +174,7 @@ class TestKrylovProx:
         elif kind == "zero-column":
             B[:, 0] = 0.0
         assert solver._krylov_fits(B, n)
-        X, F = prox_psd_trace(V, 0.0, cap, basis=B)
+        X, F = prox_psd_trace(V, cap, basis=B)
         assert np.linalg.eigvalsh(X).min() >= -1e-12 * cap
         assert np.trace(X).real == pytest.approx(cap, rel=1e-12)
         assert np.linalg.norm(X - F @ F.conj().T) <= 1e-12 * np.linalg.norm(X)
@@ -213,12 +195,12 @@ class TestKrylovProx:
         rng = np.random.default_rng(seed)
         U = _gaussian_columns(n, spikes, field, rng)
         V = random_hermitian(n, field, rng) / np.sqrt(n) + U @ U.conj().T
-        X_ref, F_ref = prox_psd_trace(V, 0.0, cap)
+        X_ref, F_ref = prox_psd_trace(V, cap)
         r = F_ref.shape[1]
         assert r <= spikes
         # any basis of the span of the top r eigenvectors
         basis = np.linalg.eigh(V)[1][:, -r:] @ _gaussian_columns(r, r, field, rng)
-        X, F = prox_psd_trace(V, 0.0, cap, basis=basis)
+        X, F = prox_psd_trace(V, cap, basis=basis)
         assert np.linalg.norm(X - X_ref) <= 1e-10 * np.linalg.norm(X_ref)
         assert F.shape[1] == r
 
@@ -235,10 +217,18 @@ class TestKrylovProx:
         n = 40 + extra_n
         rng = np.random.default_rng(seed)
         V = 5.0 * np.eye(n) + random_hermitian(n, field, rng) / n
-        X_ref, F_ref = prox_psd_trace(V, 0.0, float(n))
-        X, F = prox_psd_trace(V, 0.0, float(n), basis=_gaussian_columns(n, 1, field, rng))
+        X_ref, F_ref = prox_psd_trace(V, float(n))
+        X, F = prox_psd_trace(V, float(n), basis=_gaussian_columns(n, 1, field, rng))
         assert F_ref.shape[1] > 1 + solver._KRYLOV_EXTRA / 2
         assert np.array_equal(X, X_ref) and np.array_equal(F, F_ref)
+
+    def test_complex_basis_of_a_real_matrix_rejected(self):
+        # a real V keeps a real X: a complex basis is the field error of `hermitian`
+        V = random_hermitian(64, "real", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="complex entries in a real-field basis"):
+            prox_psd_trace(V, 1.0, basis=np.ones((64, 1)) + 0j)
+        X, F = prox_psd_trace(V, 1.0, basis=np.ones((64, 1)))
+        assert X.dtype == F.dtype == np.float64
 
 
 class TestLipschitz:
@@ -255,7 +245,7 @@ class TestLipschitz:
         with pytest.raises(ValueError, match="zero"):
             estimate_lipschitz(ens)
         with pytest.raises(ValueError, match="zero"):
-            solve_regularized(ens, np.ones(3), 0.1)
+            solve_regularized(ens, np.ones(3), 1.0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -301,58 +291,55 @@ class TestLipschitz:
 class TestRegularized:
     def test_zero_data(self):
         ens = sample_ensemble(4, 12, "real-gaussian", seed=4)
-        rep = solve_regularized(ens, np.zeros(12), lam=0.5)
-        assert np.abs(rep.X_hat).max() == 0.0
+        rep = solve_regularized(ens, np.zeros(12), 0.0)
+        assert np.abs(rep.X_hat).max() == 0.0 and rep.residual == 0.0 and rep.converged
 
-    def test_large_lambda_gives_zero(self):
+    def test_zero_tau_gives_zero_at_newtons_first_slope(self):
         ens = sample_ensemble(4, 12, "complex-gaussian", seed=5)
         rng = np.random.default_rng(3)
         b = rng.uniform(0.0, 1.0, size=12)
-        lam = zero_solution_lambda(ens, b) * 1.001
-        rep = solve_regularized(ens, b, lam)
-        assert np.abs(rep.X_hat).max() <= 1e-12
+        rep = solve_regularized(ens, b, 0.0)
+        assert np.abs(rep.X_hat).max() == 0.0 and rep.converged
+        assert rep.lambda_used == pytest.approx(zero_solution_lambda(ens, b), rel=1e-12)
 
     def test_clean_rank1_recovery(self):
         ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=6)
         rng = np.random.default_rng(4)
         x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         b = intensities(ens, x)
-        rep = solve_regularized(ens, b, lam=1e-6 * np.linalg.norm(b))
+        rep = solve_regularized(ens, b, np.linalg.norm(x) ** 2)
         target = np.outer(x, x.conj())
         assert np.linalg.norm(rep.X_hat - target) <= 1e-3 * np.linalg.norm(target)
 
     def test_iterates_psd_and_trace_monotone(self):
+        # every iterate is PSD with Tr X = tau, and the objective never rises
         ens = sample_ensemble(5, 25, "real-gaussian", seed=7)
         rng = np.random.default_rng(5)
         b = rng.uniform(0.0, 2.0, size=25)
-        objs = [0.5 * float(b @ b)]  # the objective at the start X = 0
+        tau = 1.0
+        r = apply_measurement(ens, np.eye(5) * (tau / 5)) - b
+        objs = [0.5 * float(r @ r)]  # the objective at the start X = tau I / n
         for k in range(1, 31):
             # runs are deterministic, so the k-iteration run ends at the k-th iterate
-            rep = solve_regularized(ens, b, lam=0.1, max_iters=k)
-            assert np.linalg.eigvalsh(rep.X_hat).min() >= -1e-9 * max(
-                np.linalg.norm(rep.X_hat), 1e-300
-            )
-            objs.append(0.5 * rep.residual**2 + 0.1 * np.trace(rep.X_hat).real)
+            rep = solve_regularized(ens, b, tau, max_iters=k)
+            assert np.linalg.eigvalsh(rep.X_hat).min() >= -1e-9 * np.linalg.norm(rep.X_hat)
+            assert np.trace(rep.X_hat).real == pytest.approx(tau, rel=1e-12)
+            objs.append(0.5 * rep.residual**2)
         assert np.all(np.diff(objs) <= 1e-12)
-
-    def test_negative_lambda_rejected(self):
-        ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
-        with pytest.raises(ValueError):
-            solve_regularized(ens, np.zeros(6), lam=-1.0)
 
     def test_no_iterations_or_wrong_data_length_rejected(self):
         ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
         with pytest.raises(ValueError, match="max_iters"):
-            solve_regularized(ens, np.zeros(6), lam=1.0, max_iters=0)
+            solve_regularized(ens, np.zeros(6), 1.0, max_iters=0)
         with pytest.raises(ValueError, match="data length"):
-            solve_regularized(ens, np.zeros(5), lam=1.0)
+            solve_regularized(ens, np.zeros(5), 1.0)
 
     def test_overflowing_objective_raises(self):
         # 1/2 ||r||^2 of data near 1e200 is inf from the first iterate on
         ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="finite"):
-                solve_regularized(ens, np.full(6, 1e200), lam=1.0)
+                solve_regularized(ens, np.full(6, 1e200), 1.0)
 
     @pytest.mark.parametrize("model", ["real-gaussian", "complex-unit-sphere"])
     @pytest.mark.parametrize("warm", [False, True])
@@ -360,17 +347,15 @@ class TestRegularized:
         ens = sample_ensemble(6, 30, model, seed=17)
         rng = np.random.default_rng(12)
         b = rng.uniform(0.0, 2.0, size=30)
-        lam = 0.01 * zero_solution_lambda(ens, b)
         X0 = None
         if warm:
             B = rng.standard_normal((6, 2))
             X0 = B @ B.T
-        rep = solve_regularized(ens, b, lam, X0=X0, max_iters=200)
+        rep = solve_regularized(ens, b, 1.0, X0=X0, max_iters=200)
         direct = np.linalg.norm(apply_measurement(ens, rep.X_hat) - b)
         assert rep.residual == pytest.approx(direct, rel=1e-10)
 
-    @pytest.mark.parametrize("tau", [np.inf, 2.0])
-    def test_one_forward_map_per_prox_step(self, monkeypatch, tau):
+    def test_one_forward_map_per_prox_step(self, monkeypatch):
         # one dense forward map per probe (its start residual); every prox attempt maps its
         # factor forward, and every iterate, the start included, pays one adjoint
         import phaselift.solver as solver
@@ -387,13 +372,13 @@ class TestRegularized:
         ens = sample_ensemble(5, 25, "complex-gaussian", seed=18)
         rng = np.random.default_rng(13)
         b = rng.uniform(0.0, 2.0, size=25)
-        L, lam = estimate_lipschitz(ens), 0.05 * zero_solution_lambda(ens, b)
+        L = estimate_lipschitz(ens)
         monkeypatch.setattr(solver, "estimate_lipschitz", lambda _ens: L)
         monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
         monkeypatch.setattr(solver, "_forward_factor", counted("factor", solver._forward_factor))
         monkeypatch.setattr(solver, "apply_adjoint", counted("adjoint", solver.apply_adjoint))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
-        rep = solve_regularized(ens, b, lam, tau=tau)
+        rep = solve_regularized(ens, b, 2.0)
         assert calls["prox"] > rep.iterations > 1  # some steps restarted or backtracked
         assert calls["forward"] == 1
         assert calls["factor"] == calls["prox"]
@@ -406,16 +391,14 @@ class TestRegularized:
         m=st.integers(1, 40),
         seed=st.integers(0, 2**16),
         tau=st.floats(0.0, 10.0),
-        lam_frac=st.sampled_from([0.0, 0.01, 0.5]),
     )
     # the cap puts A(X) far from a small b, where <A*(r), X> + tau mu cancels past the gap
-    @example(model="real-gaussian", n=1, m=1, seed=34, tau=3.0, lam_frac=0.0)
-    def test_duality_gap_is_nonnegative_at_every_check(self, model, n, m, seed, tau, lam_frac):
+    @example(model="real-gaussian", n=1, m=1, seed=34, tau=3.0)
+    def test_duality_gap_is_nonnegative_at_every_check(self, model, n, m, seed, tau):
         import phaselift.solver as solver
 
         ens = sample_ensemble(n, m, model, seed)
         b = np.random.default_rng(seed).uniform(0.0, 2.0, size=m)
-        lam = lam_frac * zero_solution_lambda(ens, b)
         gaps = []
         original = solver._duality_gap
 
@@ -425,11 +408,11 @@ class TestRegularized:
             return out
 
         with mock.patch.object(solver, "_duality_gap", recorded):
-            rep = solve_regularized(ens, b, lam, max_iters=200, tau=tau)
+            rep = solve_regularized(ens, b, tau, max_iters=200)
         assert gaps  # the final iterate is always checked
         assert min(gaps) >= -1e-12 * float(b @ b)
         assert np.trace(rep.X_hat).real <= tau * (1 + 1e-12) + 1e-15
-        assert rep.lambda_used >= lam
+        assert rep.lambda_used >= 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -437,7 +420,7 @@ class TestRegularized:
         n=st.integers(1, 8),
         m=st.integers(1, 40),
         seed=st.integers(0, 2**16),
-        tau=st.one_of(st.just(np.inf), st.floats(0.0, 10.0)),
+        tau=st.floats(0.0, 10.0),
         warm=st.booleans(),
     )
     def test_backtracking_inequality_holds_at_every_step(self, model, n, m, seed, tau, warm):
@@ -452,8 +435,8 @@ class TestRegularized:
         steps = []
         original = solver._fista_step
 
-        def checked(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
-            out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
+        def checked(ens, b, tau, cur, prev, t, step, trial, step_min):
+            out = original(ens, b, tau, cur, prev, t, step, trial, step_min)
             X, r, obj, taken, t_new, _ = out
             Y, rY, _ = _extrapolated(cur, prev, t, t_new)
             slack = 1e-12 * float(b @ b) * taken
@@ -465,17 +448,16 @@ class TestRegularized:
 
         with mock.patch.object(solver, "_fista_step", checked):
             X0 = B @ B.conj().T if warm else None
-            solve_regularized(ens, b, 0.0, X0=X0, max_iters=200, tau=tau)
+            solve_regularized(ens, b, tau, X0=X0, max_iters=200)
         assert steps
         # each try is at most STEP_GROW times the previous accepted step
         tries, taken = zip(*steps)
         assert all(tries[k + 1] <= solver.STEP_GROW * taken[k] for k in range(len(steps) - 1))
 
-    @pytest.mark.parametrize("tau_rel", [0.5, np.inf])
-    def test_probe_steps_past_one_over_l(self, monkeypatch, tau_rel):
-        # on a workload shape a tau-probe, and the lambda form alike, starts at STEP_START/L,
-        # grows its step past that and never steps below 1/L; it pays one dense forward map,
-        # its start residual, and one prox per try, each try halving the step
+    def test_probe_steps_past_one_over_l(self, monkeypatch):
+        # on a workload shape a tau-probe starts at STEP_START/L, grows its step past that and
+        # never steps below 1/L; it pays one dense forward map, its start residual, and one prox
+        # per try, each try halving the step
         import phaselift.solver as solver
 
         ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=22)
@@ -496,7 +478,7 @@ class TestRegularized:
         def recorded(*args):
             before = calls["prox"]
             out = original(*args)
-            trial, step_min, taken = args[8], args[9], out[3]
+            trial, step_min, taken = args[7], args[8], out[3]
             assert taken == max(trial / 2 ** (calls["prox"] - before - 1), step_min)
             steps.append((trial, taken, step_min))
             return out
@@ -505,7 +487,7 @@ class TestRegularized:
         monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
         monkeypatch.setattr(solver, "_fista_step", recorded)
-        solve_regularized(ens, b, 0.0, tau=tau_rel * np.linalg.norm(b), max_iters=100)
+        solve_regularized(ens, b, 0.5 * np.linalg.norm(b), max_iters=100)
         assert calls["forward"] == 1
         assert steps[0][0] == solver.STEP_START * steps[0][2]
         assert all(taken >= step_min for _, taken, step_min in steps)
@@ -517,7 +499,7 @@ class TestRegularized:
         n=st.integers(1, 8),
         m=st.integers(1, 40),
         seed=st.integers(0, 2**16),
-        tau=st.one_of(st.just(np.inf), st.floats(0.0, 10.0)),
+        tau=st.floats(0.0, 10.0),
     )
     def test_carried_gradient_and_momentum(self, model, n, m, seed, tau):
         # every iterate carries G = A*(r); the extrapolated gradient GY follows by linearity
@@ -529,8 +511,8 @@ class TestRegularized:
         calls = []
         original = solver._fista_step
 
-        def checked(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
-            out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
+        def checked(ens, b, tau, cur, prev, t, step, trial, step_min):
+            out = original(ens, b, tau, cur, prev, t, step, trial, step_min)
             for X, r, G, _ in (cur, prev):
                 assert np.array_equal(G, apply_adjoint(ens, r))
             _, rY, GY = _extrapolated(cur, prev, t, out[4])
@@ -541,7 +523,7 @@ class TestRegularized:
             return out
 
         with mock.patch.object(solver, "_fista_step", checked):
-            solve_regularized(ens, b, 0.0, max_iters=200, tau=tau)
+            solve_regularized(ens, b, tau, max_iters=200)
         _check_sgb_momentum(calls)
 
     def test_momentum_follows_sgb_after_growth_backtracks_and_restarts(self, monkeypatch):
@@ -552,36 +534,40 @@ class TestRegularized:
         calls = []
         original = solver._fista_step
 
-        def recorded(ens, b, lam, tau, cur, prev, t, step, trial, step_min):
-            out = original(ens, b, lam, tau, cur, prev, t, step, trial, step_min)
+        def recorded(ens, b, tau, cur, prev, t, step, trial, step_min):
+            out = original(ens, b, tau, cur, prev, t, step, trial, step_min)
             calls.append((cur, prev, t, step, trial, out))
             return out
 
         monkeypatch.setattr(solver, "_fista_step", recorded)
-        solve_regularized(ens, b, 0.0, tau=0.9 * np.linalg.norm(b), max_iters=300)
+        solve_regularized(ens, b, 0.9 * np.linalg.norm(b), max_iters=300)
         events = _check_sgb_momentum(calls)
         assert events == {"growth", "backtrack", "restart"}
 
     def test_capped_solution_solves_the_lambda_form_at_its_multiplier(self):
-        # a tau-capped solution with an active cap solves the lambda form at lambda_used
+        # a tau-capped solution with an active cap solves the lambda form at lambda_used, here
+        # solved by the oracle
         ens = sample_ensemble(6, 36, "complex-gaussian", seed=21)
         rng = np.random.default_rng(14)
         x = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         b = intensities(ens, x) + 0.1 * rng.standard_normal(36)
-        capped = solve_regularized(ens, b, 0.0, tau=0.5 * np.linalg.norm(x) ** 2)
+        capped = solve_regularized(ens, b, 0.5 * np.linalg.norm(x) ** 2)
         assert capped.converged
         assert np.trace(capped.X_hat).real == pytest.approx(0.5 * np.linalg.norm(x) ** 2, rel=1e-9)
-        free = solve_regularized(ens, b, capped.lambda_used)
-        assert np.linalg.norm(free.X_hat - capped.X_hat) <= 1e-3 * np.linalg.norm(capped.X_hat)
+        step = 1.0 / gram_lambda_max(ens)
+        (free,), _ = plain_proximal_gradient([ens], [b], [capped.lambda_used], [step], iters=2_000)
+        assert np.linalg.norm(free - capped.X_hat) <= 1e-3 * np.linalg.norm(capped.X_hat)
 
-    def test_negative_or_nan_tau_rejected(self):
+    def test_infinite_negative_or_nan_tau_rejected(self):
         ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
-        for tau in (-1.0, float("nan")):
-            with pytest.raises(ValueError):
-                solve_regularized(ens, np.zeros(6), 0.0, tau=tau)
+        for tau in (np.inf, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="tau"):
+                solve_regularized(ens, np.zeros(6), tau)
 
     def test_oracle_equivalence_light(self):
-        # light version of the long-run equivalence check in acceptance
+        # light version of the long-run equivalence check in acceptance: by the KKT conditions
+        # the probe capped at tau = Tr X_ref, the one solve_constrained runs, has the lambda
+        # form's solution
         ens = sample_ensemble(3, 12, "real-gaussian", seed=9)
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3)
@@ -589,13 +575,10 @@ class TestRegularized:
         lam = 0.05 * zero_solution_lambda(ens, b)
         step = 0.1 / gram_lambda_max(ens)
         (X_ref,), (obj_ref,) = plain_proximal_gradient([ens], [b], [lam], [step], iters=20_000)
-        # by the KKT conditions the probe capped at tau = Tr X_ref, the one solve_constrained
-        # runs, has the lambda form's solution too
-        probe = solve_regularized(ens, b, 0.0, tau=np.trace(X_ref).real)
-        for rep in (solve_regularized(ens, b, lam), probe):
-            obj = 0.5 * rep.residual**2 + lam * np.trace(rep.X_hat).real
-            assert obj == pytest.approx(obj_ref, rel=1e-6)
-            assert np.linalg.norm(rep.X_hat - X_ref) <= 1e-4
+        probe = solve_regularized(ens, b, np.trace(X_ref).real)
+        obj = 0.5 * probe.residual**2 + lam * np.trace(probe.X_hat).real
+        assert obj == pytest.approx(obj_ref, rel=1e-6)
+        assert np.linalg.norm(probe.X_hat - X_ref) <= 1e-4
 
 
 class TestConstrained:
@@ -641,16 +624,16 @@ class TestConstrained:
             cs.append(np.linalg.norm(rep.X_hat - np.outer(x, x.conj())) / data.eps)
         assert np.median(cs) <= 10.0
 
-    def test_residual_monotone_in_lambda(self):
+    def test_residual_monotone_in_tau(self):
+        # phi(tau) is nonincreasing along a tau grid below the trace where the cap stops binding
         ens = sample_ensemble(6, 36, "real-gaussian", seed=14)
         rng = np.random.default_rng(10)
         x = rng.standard_normal(6)
         b = intensities(ens, x) + 0.1 * rng.standard_normal(36)
-        lam_hi = zero_solution_lambda(ens, b)
-        residuals = []
-        for lam in np.geomspace(1e-6 * lam_hi, lam_hi, 10):
-            residuals.append(solve_regularized(ens, b, lam).residual)
-        assert np.all(np.diff(residuals) >= -1e-8 * max(residuals))
+        probes = [solve_regularized(ens, b, tau) for tau in np.linspace(0.0, 0.9, 10) * (x @ x)]
+        residuals = [rep.residual for rep in probes]
+        assert all(rep.converged and rep.lambda_used > 0.0 for rep in probes)
+        assert np.all(np.diff(residuals) <= 1e-8 * max(residuals))
 
     def test_infeasible_eps_flagged_not_thrown(self):
         # inconsistent data declared noiseless: the NOISELESS_EPS_REL*||b||
@@ -752,8 +735,8 @@ class TestConstrained:
             full_eigh.append(n in shapes)
             return out
 
-        def recorded_gap(cur, lam, tau):
-            out = gap(cur, lam, tau)
+        def recorded_gap(cur):
+            out = gap(cur)
             gap_small.append(out[0] <= solver.GAP_REL_TOL * float(cur[1] @ cur[1]))
             return out
 
