@@ -87,12 +87,20 @@ class TestProx:
         out, _ = prox_psd_trace(np.diag([3.0, 1.0, -2.0]), 4.0)
         assert np.allclose(out, np.diag([3.0, 1.0, 0.0]))
 
-    def test_negative_nan_or_infinite_cap_rejected(self):
-        for cap in (-1.0, float("nan"), np.inf):
+    def test_negative_tau_rejected(self):
+        with pytest.raises(ValueError):
+            prox_psd_trace(np.eye(2), -0.1)
+
+    def test_negative_or_nan_cap_rejected(self):
+        for cap in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="cap"):
                 prox_psd_trace(np.eye(2), cap)
 
-    def test_local_optimality_against_sampled_spectraplex_points(self):
+    def test_infinite_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap"):
+            prox_psd_trace(np.eye(2), np.inf)
+
+    def test_local_optimality_against_sampled_psd_perturbations(self):
         rng = np.random.default_rng(0)
         V = rng.standard_normal((3, 3))
         V = (V + V.T) / 2
@@ -102,7 +110,8 @@ class TestProx:
         for _ in range(500):
             B = rng.standard_normal((3, 3))
             S = cap * (B @ B.T) / np.trace(B @ B.T)
-            P = X + 0.1 * rng.uniform() * (S - X)  # convex combinations stay on the spectraplex
+            # PSD perturbations toward a point of the spectraplex keep feasibility
+            P = X + 0.1 * rng.uniform() * (S - X)
             assert np.linalg.norm(P - V) > base
 
     def test_output_is_psd(self):
@@ -302,6 +311,16 @@ class TestRegularized:
         assert np.abs(rep.X_hat).max() == 0.0 and rep.converged
         assert rep.lambda_used == pytest.approx(zero_solution_lambda(ens, b), rel=1e-12)
 
+    def test_large_lambda_gives_zero(self):
+        # past zero_solution_lambda, X = 0 solves the lambda form: the oracle never leaves it
+        ens = sample_ensemble(4, 12, "complex-gaussian", seed=5)
+        rng = np.random.default_rng(3)
+        b = rng.uniform(0.0, 1.0, size=12)
+        lam = zero_solution_lambda(ens, b) * 1.001
+        step = 1.0 / gram_lambda_max(ens)
+        (X,), _ = plain_proximal_gradient([ens], [b], [lam], [step], iters=200)
+        assert np.abs(X).max() <= 1e-12
+
     def test_clean_rank1_recovery(self):
         ens = sample_ensemble(16, 96, "complex-unit-sphere", seed=6)
         rng = np.random.default_rng(4)
@@ -355,7 +374,8 @@ class TestRegularized:
         direct = np.linalg.norm(apply_measurement(ens, rep.X_hat) - b)
         assert rep.residual == pytest.approx(direct, rel=1e-10)
 
-    def test_one_forward_map_per_prox_step(self, monkeypatch):
+    @pytest.mark.parametrize("tau", [0.5, 2.0])
+    def test_one_forward_map_per_prox_step(self, monkeypatch, tau):
         # one dense forward map per probe (its start residual); every prox attempt maps its
         # factor forward, and every iterate, the start included, pays one adjoint
         import phaselift.solver as solver
@@ -378,7 +398,7 @@ class TestRegularized:
         monkeypatch.setattr(solver, "_forward_factor", counted("factor", solver._forward_factor))
         monkeypatch.setattr(solver, "apply_adjoint", counted("adjoint", solver.apply_adjoint))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
-        rep = solve_regularized(ens, b, 2.0)
+        rep = solve_regularized(ens, b, tau)
         assert calls["prox"] > rep.iterations > 1  # some steps restarted or backtracked
         assert calls["forward"] == 1
         assert calls["factor"] == calls["prox"]
@@ -454,7 +474,8 @@ class TestRegularized:
         tries, taken = zip(*steps)
         assert all(tries[k + 1] <= solver.STEP_GROW * taken[k] for k in range(len(steps) - 1))
 
-    def test_probe_steps_past_one_over_l(self, monkeypatch):
+    @pytest.mark.parametrize("tau_rel", [0.25, 0.5])
+    def test_probe_steps_past_one_over_l(self, monkeypatch, tau_rel):
         # on a workload shape a tau-probe starts at STEP_START/L, grows its step past that and
         # never steps below 1/L; it pays one dense forward map, its start residual, and one prox
         # per try, each try halving the step
@@ -487,7 +508,7 @@ class TestRegularized:
         monkeypatch.setattr(solver, "apply_measurement", counted("forward", solver.apply_measurement))
         monkeypatch.setattr(solver, "prox_psd_trace", counted("prox", solver.prox_psd_trace))
         monkeypatch.setattr(solver, "_fista_step", recorded)
-        solve_regularized(ens, b, 0.5 * np.linalg.norm(b), max_iters=100)
+        solve_regularized(ens, b, tau_rel * np.linalg.norm(b), max_iters=100)
         assert calls["forward"] == 1
         assert steps[0][0] == solver.STEP_START * steps[0][2]
         assert all(taken >= step_min for _, taken, step_min in steps)
@@ -558,11 +579,16 @@ class TestRegularized:
         (free,), _ = plain_proximal_gradient([ens], [b], [capped.lambda_used], [step], iters=2_000)
         assert np.linalg.norm(free - capped.X_hat) <= 1e-3 * np.linalg.norm(capped.X_hat)
 
-    def test_infinite_negative_or_nan_tau_rejected(self):
+    def test_negative_or_nan_tau_rejected(self):
         ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
-        for tau in (np.inf, -1.0, float("nan")):
+        for tau in (-1.0, float("nan")):
             with pytest.raises(ValueError, match="tau"):
                 solve_regularized(ens, np.zeros(6), tau)
+
+    def test_infinite_tau_rejected(self):
+        ens = sample_ensemble(3, 6, "real-gaussian", seed=8)
+        with pytest.raises(ValueError, match="tau"):
+            solve_regularized(ens, np.zeros(6), np.inf)
 
     def test_oracle_equivalence_light(self):
         # light version of the long-run equivalence check in acceptance: by the KKT conditions
@@ -634,6 +660,20 @@ class TestConstrained:
         residuals = [rep.residual for rep in probes]
         assert all(rep.converged and rep.lambda_used > 0.0 for rep in probes)
         assert np.all(np.diff(residuals) <= 1e-8 * max(residuals))
+
+    def test_residual_monotone_in_lambda(self):
+        # a probe solves the lambda form at its multiplier lambda_used, which falls as tau
+        # grows; ordered by that lambda, the residual never falls
+        ens = sample_ensemble(6, 36, "real-gaussian", seed=14)
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal(6)
+        b = intensities(ens, x) + 0.1 * rng.standard_normal(36)
+        probes = [solve_regularized(ens, b, tau) for tau in np.linspace(0.0, 0.9, 10) * (x @ x)]
+        lams = [rep.lambda_used for rep in probes]
+        residuals = [rep.residual for rep in probes]
+        assert lams[0] == pytest.approx(zero_solution_lambda(ens, b), rel=1e-12)
+        assert np.all(np.diff(lams) < 0.0)
+        assert np.all(np.diff(residuals[::-1]) >= -1e-8 * max(residuals))
 
     def test_infeasible_eps_flagged_not_thrown(self):
         # inconsistent data declared noiseless: the NOISELESS_EPS_REL*||b||
