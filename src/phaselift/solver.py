@@ -25,8 +25,8 @@ NOISELESS_EPS_REL = 1e-5
 EPS_REL_TOL = 1e-3
 #: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * ||X_new||.
 STEP_REL_TOL = 3e-9
-#: FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2 after a step ||X_new - X|| <=
-#: GAP_REL_TOL * ||X_new||, checked every GAP_EVERY iterations.
+#: FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2, a gap it takes every GAP_EVERY
+#: iterations but only after a step ||X_new - X|| <= GAP_REL_TOL * ||X_new||.
 GAP_REL_TOL, GAP_EVERY = 1e-5, 10
 #: FISTA restarts when the objective rises by more than its round-off, RISE_TOL * ||b|| * ||r||.
 RISE_TOL = 1e-13
@@ -124,8 +124,10 @@ def solve_regularized(
     pays a dense forward map: a step maps the prox's factor forward (`_forward_factor`) and
     takes one adjoint, and the extrapolated point's residual and gradient follow by linearity.
     The first step tries STEP_START/L, each later one STEP_GROW times the last accepted step,
-    and backtracks as `_fista_step` says.  The `_duality_gap` is checked every GAP_EVERY
-    iterations, on the step rule and at max_iters; lambda_used is its multiplier."""
+    and backtracks as `_fista_step` says.  The probe stops, converged, on a step of at most
+    STEP_REL_TOL * ||X_new|| or on a `_duality_gap` of at most GAP_REL_TOL * ||r||^2 after a step
+    of at most GAP_REL_TOL * ||X_new||, else unconverged at max_iters.  lambda_used is the
+    multiplier of the `_duality_gap` at the last iterate."""
     if not 0 <= tau < np.inf:
         raise ValueError("tau must be finite and nonnegative")
     if max_iters <= 0:
@@ -164,17 +166,14 @@ def solve_regularized(
             dx, xn = np.linalg.norm(X_new - cur[0]), np.linalg.norm(X_new)
         prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
         t, obj, step, trial = t_new, obj_new, s, STEP_GROW * s
-        step_small = dx <= STEP_REL_TOL * xn
-        if step_small or iters % GAP_EVERY == 0 or iters == max_iters:
+        short, small = dx <= STEP_REL_TOL * xn, dx <= GAP_REL_TOL * xn
+        if short or iters == max_iters or (small and iters % GAP_EVERY == 0):
             gap, lambda_used = _duality_gap(cur)
-            # a warm start can stall for an iteration or two before it moves; the gap certifies
-            # the objective, and a short step that X has settled
-            settled = gap <= GAP_REL_TOL * float(r_new @ r_new) and dx <= GAP_REL_TOL * xn
-            step_small = (step_small and iters >= GAP_EVERY) or settled
-        if step_small:
-            break
-    X, r, _, _ = cur
-    return SolveReport(X, iters, float(np.linalg.norm(r)), float(lambda_used), converged=step_small)
+            # the gap certifies the objective, and a small step that X has settled
+            converged = short or (small and gap <= GAP_REL_TOL * float(r_new @ r_new))
+            if converged or iters == max_iters:
+                res = float(np.linalg.norm(r_new))
+                return SolveReport(X_new, iters, res, lambda_used, bool(converged))
 
 
 def _fista_step(ens, b, tau, cur, prev, t, step, trial, step_min):

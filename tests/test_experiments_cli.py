@@ -613,6 +613,38 @@ class TestCliEntry:
         _, rows = read_csv(out)
         assert [r["converged"] for r in rows if r["row_type"] == "trial"] == ["1"]
 
+    def test_strict_flags_a_probe_cut_at_max_iters(self, tmp_path):
+        out = tmp_path / "cut.csv"
+        code = main(
+            [
+                "--experiment", "snr-sweep",
+                "--n", "4",
+                "--m", "13",
+                "--snr-db", "20",
+                "--trials", "1",
+                "--seed", "11",
+                "--max-iters", "10",
+                "--out", str(out),
+                "--strict",
+            ]
+        )
+        assert code == 3
+        _, rows = read_csv(out)
+        assert [r["converged"] for r in rows if r["row_type"] == "trial"] == ["0"]
+
+    def test_failure_count_is_the_csvs_count_of_unconverged_trials(self, tmp_path):
+        # probes cut at max_iters = 10: every converged = 0 row is a failure in the count
+        out = tmp_path / "count.csv"
+        failed = run_experiment(
+            ExperimentConfig(
+                experiment="snr-sweep", n=4, m=[13, 16], snr_db=[20.0], trials=2, seed=2,
+                max_iters=10, out=str(out),
+            )
+        )
+        _, rows = read_csv(out)
+        unconverged = [r for r in rows if r["row_type"] == "trial" and r["converged"] == "0"]
+        assert unconverged and failed == len(unconverged)
+
 
 def _argv(values):
     argv = []

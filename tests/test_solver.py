@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from phaselift.measurement import (
@@ -17,7 +17,9 @@ from phaselift.measurement import (
 )
 from phaselift.recovery import rel_mse, recover
 from phaselift.solver import (
+    GAP_REL_TOL,
     NOISELESS_EPS_REL,
+    STEP_REL_TOL,
     estimate_lipschitz,
     prox_psd_trace,
     solve_constrained,
@@ -432,7 +434,81 @@ class TestRegularized:
         assert gaps  # the final iterate is always checked
         assert min(gaps) >= -1e-12 * float(b @ b)
         assert np.trace(rep.X_hat).real <= tau * (1 + 1e-12) + 1e-15
-        assert rep.lambda_used >= 0.0
+        assert rep.lambda_used >= 0.0 and type(rep.converged) is bool
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+        tau=st.floats(0.0, 10.0),
+        warm=st.booleans(),
+    )
+    def test_gap_is_taken_only_where_it_can_stop_the_probe(self, model, n, m, seed, tau, warm):
+        # every gap but the one at max_iters follows a step ||X_new - X|| <= GAP_REL_TOL ||X_new||
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(n, m, model, seed)
+        rng = np.random.default_rng(seed)
+        b = rng.uniform(0.0, 2.0, size=m)
+        B = random_hermitian(n, ens.field, rng)
+        X0 = B @ B.conj().T if warm else None
+        steps, gaps = [], []
+        step, gap = solver._fista_step, solver._duality_gap
+
+        def recorded_step(*args):
+            out = step(*args)
+            steps.append((args[3][0], out[0]))
+            return out
+
+        def recorded_gap(cur):
+            X, X_new = steps[-1]
+            assert cur[0] is X_new
+            gaps.append(np.linalg.norm(X_new - X) <= GAP_REL_TOL * np.linalg.norm(X_new))
+            return gap(cur)
+
+        with mock.patch.object(solver, "_fista_step", recorded_step):
+            with mock.patch.object(solver, "_duality_gap", recorded_gap):
+                rep = solve_regularized(ens, b, tau, X0=X0, max_iters=60)
+        if rep.iterations == 60:
+            gaps.pop()
+        assert all(gaps)
+
+    @settings(max_examples=16, deadline=None)
+    @given(
+        model=st.sampled_from(MODELS),
+        n=st.integers(1, 8),
+        m=st.integers(1, 40),
+        seed=st.integers(0, 2**16),
+    )
+    @example(model="complex-unit-sphere", n=4, m=20, seed=1)
+    def test_reprobe_stops_on_its_first_short_step(self, model, n, m, seed):
+        # a noiseless probe at tau = ||x||^2 ends on a short step; started again from its answer,
+        # the probe stops on its first step of at most STEP_REL_TOL ||X_new||, however early
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(n, m, model, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) + (1j * rng.standard_normal(n) if ens.field == "complex" else 0)
+        b, tau = intensities(ens, x), np.linalg.norm(x) ** 2
+        first = solve_regularized(ens, b, tau)
+        assume(first.converged)
+        steps = []
+        original = solver._fista_step
+
+        def recorded(ens, b, tau, cur, *args):
+            out = original(ens, b, tau, cur, *args)
+            if steps and steps[-1][0] is cur[0]:  # a restart retakes the step from the same X
+                steps.pop()
+            steps.append((cur[0], out[0]))
+            return out
+
+        with mock.patch.object(solver, "_fista_step", recorded):
+            again = solve_regularized(ens, b, tau, X0=first.X_hat)
+        short = [np.linalg.norm(new - X) <= STEP_REL_TOL * np.linalg.norm(new) for X, new in steps]
+        assert len(short) == again.iterations and not any(short[:-1])
+        assert again.converged is True
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -468,8 +544,8 @@ class TestRegularized:
 
         with mock.patch.object(solver, "_fista_step", checked):
             X0 = B @ B.conj().T if warm else None
-            solve_regularized(ens, b, tau, X0=X0, max_iters=200)
-        assert steps
+            rep = solve_regularized(ens, b, tau, X0=X0, max_iters=200)
+        assert steps and type(rep.converged) is bool
         # each try is at most STEP_GROW times the previous accepted step
         tries, taken = zip(*steps)
         assert all(tries[k + 1] <= solver.STEP_GROW * taken[k] for k in range(len(steps) - 1))
@@ -544,8 +620,9 @@ class TestRegularized:
             return out
 
         with mock.patch.object(solver, "_fista_step", checked):
-            solve_regularized(ens, b, tau, max_iters=200)
+            rep = solve_regularized(ens, b, tau, max_iters=200)
         _check_sgb_momentum(calls)
+        assert type(rep.converged) is bool
 
     def test_momentum_follows_sgb_after_growth_backtracks_and_restarts(self, monkeypatch):
         import phaselift.solver as solver
@@ -730,9 +807,15 @@ class TestConstrained:
         seed=st.integers(0, 2**16),
         k=st.integers(-600, 600),
     )
+    # round-off moves a probe's stop by one short step (X moves by 1.8e-10) ...
+    @example(model="complex-unit-sphere", noisy=False, c=9.75, seed=62581, k=600)
+    # ... or by a gap check (X moves by 2.4e-8)
+    @example(model="real-gaussian", noisy=True, c=519.8718871244287, seed=30563, k=-600)
     def test_scale_equivariance(self, model, noisy, c, seed, k):
-        # (b, eps) -> (c b, c eps) maps the solution X to c X, iteration for iteration;
-        # for c = 2^k far past float64's square range it does so bit for bit
+        # (b, eps) -> (c b, c eps) maps the solution X to c X up to round-off; where round-off
+        # moves a stop, X may move by up to GAP_REL_TOL, the largest last step of a gap stop.
+        # For c = 2^k far past float64's square range it does so bit for bit, iteration for
+        # iteration
         ens = sample_ensemble(5, 30, model, seed)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if ens.field == "complex" else 0)
@@ -740,11 +823,12 @@ class TestConstrained:
         data = add_noise(b, "gaussian", 30.0, seed=seed) if noisy else IntensityData(b, 0.0)
         ref = solve_constrained(ens, data)
         scaled = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
-        assert scaled.iterations == ref.iterations
-        assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
+        assert type(ref.converged) is bool and scaled.converged == ref.converged
+        tol = 1e-10 if scaled.iterations == ref.iterations else GAP_REL_TOL
+        assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= tol * np.linalg.norm(ref.X_hat)
         c = 2.0**k
         exact = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
-        assert exact.iterations == ref.iterations and exact.converged == ref.converged
+        assert exact.iterations == ref.iterations and exact.converged is ref.converged
         assert np.array_equal(exact.X_hat / c, ref.X_hat)
         assert exact.residual / c == ref.residual and exact.lambda_used / c == ref.lambda_used
 
