@@ -52,7 +52,7 @@ def rel_mse(x: np.ndarray, x_hat: np.ndarray) -> float:
         raise ValueError("reference signal must be nonzero")
     nh2 = float(np.real(np.vdot(x_hat, x_hat)))
     cross = abs(np.vdot(x_hat, x))
-    return (nx2 + nh2 - 2.0 * cross) / nx2
+    return float((nx2 + nh2 - 2.0 * cross) / nx2)
 
 
 def recover(X_hat: np.ndarray, x_true: np.ndarray | None = None) -> RecoveryResult:

@@ -28,8 +28,6 @@ STEP_REL_TOL = 3e-9
 #: FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2, a gap it takes every GAP_EVERY
 #: iterations but only after a step ||X_new - X|| <= GAP_REL_TOL * ||X_new||.
 GAP_REL_TOL, GAP_EVERY = 1e-5, 10
-#: FISTA restarts when the objective rises by more than its round-off, RISE_TOL * ||b|| * ||r||.
-RISE_TOL = 1e-13
 #: Default cap on FISTA iterations per probe.
 MAX_ITERS = 5000
 #: The first step tries STEP_START/L; the curvature on trace-zero X (a probe's steps) is ~L/4.
@@ -124,10 +122,13 @@ def solve_regularized(
     pays a dense forward map: a step maps the prox's factor forward (`_forward_factor`) and
     takes one adjoint, and the extrapolated point's residual and gradient follow by linearity.
     The first step tries STEP_START/L, each later one STEP_GROW times the last accepted step,
-    and backtracks as `_fista_step` says.  The probe stops, converged, on a step of at most
-    STEP_REL_TOL * ||X_new|| or on a `_duality_gap` of at most GAP_REL_TOL * ||r||^2 after a step
-    of at most GAP_REL_TOL * ||X_new||, else unconverged at max_iters.  lambda_used is the
-    multiplier of the `_duality_gap` at the last iterate."""
+    and backtracks as `_fista_step` says.  A step that raises the objective is kept, and the
+    next one is taken at t = 1, with no momentum (O'Donoghue & Candes 2015).  The probe stops,
+    converged, on a step of at most STEP_REL_TOL * ||X_new|| through an exact prox (a Krylov
+    prox's short step only drops the factor, so the next prox is a full `eigh`) or on a
+    `_duality_gap` of at most GAP_REL_TOL * ||r||^2 after a step of at most GAP_REL_TOL *
+    ||X_new||, else unconverged at max_iters.  lambda_used is the multiplier of the
+    `_duality_gap` at the last iterate."""
     if not 0 <= tau < np.inf:
         raise ValueError("tau must be finite and nonnegative")
     if max_iters <= 0:
@@ -136,7 +137,6 @@ def solve_regularized(
     if b.shape != (ens.m,):
         raise ValueError("data length does not match ensemble")
     step_min = 1.0 / estimate_lipschitz(ens)
-    rise_tol = RISE_TOL * np.linalg.norm(b)
     step = trial = STEP_START * step_min
 
     X = np.zeros((ens.n, ens.n), DTYPES[ens.field]) if X0 is None else as_hermitian(X0, ens.field)
@@ -151,22 +151,14 @@ def solve_regularized(
         )
         if not np.isfinite(obj_new):
             raise RuntimeError("objective is not finite: inf/NaN or overflow in the data")
-        if obj_new - obj > rise_tol * np.linalg.norm(cur[1]):
-            # kill momentum and retake the step from the last iterate
-            t, prev = 1.0, cur
-            X_new, r_new, obj_new, s, t_new, F = _fista_step(
-                ens, b, tau, cur, prev, t, step, s, step_min
-            )
         dx, xn = np.linalg.norm(X_new - cur[0]), np.linalg.norm(X_new)
-        if dx <= STEP_REL_TOL * xn and _krylov_fits(cur[3], ens.n):
-            # a Krylov prox may stall short of the fixed point: retake the step with `eigh`
-            X_new, r_new, obj_new, s, t_new, F = _fista_step(
-                ens, b, tau, cur[:3] + (None,), prev, t, step, s, step_min
-            )
-            dx, xn = np.linalg.norm(X_new - cur[0]), np.linalg.norm(X_new)
-        prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
-        t, obj, step, trial = t_new, obj_new, s, STEP_GROW * s
         short, small = dx <= STEP_REL_TOL * xn, dx <= GAP_REL_TOL * xn
+        if short and _krylov_fits(cur[3], ens.n):
+            # a Krylov prox may stall short of the fixed point: the next prox is exact
+            short, F = False, None
+        prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
+        # a rise keeps the step and restarts the momentum: the next step has t = 1
+        t, obj, step, trial = 1.0 if obj_new > obj else t_new, obj_new, s, STEP_GROW * s
         if short or iters == max_iters or (small and iters % GAP_EVERY == 0):
             gap, lambda_used = _duality_gap(cur)
             # the gap certifies the objective, and a small step that X has settled
@@ -178,10 +170,11 @@ def solve_regularized(
 
 def _fista_step(ens, b, tau, cur, prev, t, step, trial, step_min):
     """One FISTA step with backtracking (Scheinberg, Goldfarb & Bai 2014) from the iterate
-    cur = (X, r, G, F) and the one before it, prev; step is the last accepted step.  Each try at
-    s (first `trial`, then halved, never below step_min) sets t_new = (1 + sqrt(1 + 4 (step / s)
-    t^2)) / 2 and Y = X + (t - 1) / t_new (X - X_prev), whose residual rY and gradient GY follow
-    by linearity, until ||A(X_new - Y)||^2 <= ||X_new - Y||^2 / s (Beck & Teboulle 2009); that
+    cur = (X, r, G, F) and the one before it, prev; step is the last accepted step, and t = 1
+    (a probe's start, or after a rise) takes no momentum.  Each try at s (first `trial`, then
+    halved, never below step_min) sets t_new = (1 + sqrt(1 + 4 (step / s) t^2)) / 2 and
+    Y = X + (t - 1) / t_new (X - X_prev), whose residual rY and gradient GY follow by
+    linearity, until ||A(X_new - Y)||^2 <= ||X_new - Y||^2 / s (Beck & Teboulle 2009); that
     A(X_new - Y) is r_new - rY.  The prox takes X's factor F (None: exact) as its basis.
     Returns X_new, its residual and objective, s, t_new and X_new's factor."""
     (X, r, G, F), (Xp, rp, Gp, _) = cur, prev

@@ -13,6 +13,7 @@ from phaselift.experiments import (
     CHOICES,
     ConfigError,
     ExperimentConfig,
+    _recovery_trial,
     run_experiment,
 )
 
@@ -253,6 +254,14 @@ class TestRecoverySweeps:
         assert rates[0] == 0.0  # m = n is information-theoretically hopeless
         assert rates[-1] >= 2 / 3
         assert all(b >= a - 1e-12 for a, b in zip(rates, rates[1:]))
+
+    def test_trial_row_holds_plain_python_values(self):
+        # a phase-transition trial row serializes as is: no numpy scalar in rel_mse or success
+        cfg = ExperimentConfig(experiment="phase-transition", n=4, trials=1, seed=3)
+        row = _recovery_trial(cfg, {"m": 24, "snr_db": np.inf, "noise": "none"}, 0, 0)
+        assert type(row["success"]) is bool
+        assert type(row["rel_mse"]) is float and type(row["rel_mse_debiased"]) is float
+        assert json.loads(json.dumps(row))["success"] is row["success"]
 
     def test_phase_transition_summary_covers_own_block(self, tmp_path):
         # each summary averages the success of its own block only (a repeated grid value,

@@ -100,7 +100,8 @@ class TestRelMse:
 
     def test_orthogonal_units(self):
         x = np.array([1.0, 0.0])
-        assert rel_mse(x, np.array([0.0, 1.0])) == pytest.approx(2.0)
+        err = rel_mse(x, np.array([0.0, 1.0]))
+        assert err == pytest.approx(2.0) and type(err) is float
 
     def test_matches_phase_grid_oracle(self):
         rng = np.random.default_rng(4)
