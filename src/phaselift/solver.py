@@ -23,6 +23,9 @@ from .measurement import (
 NOISELESS_EPS_REL = 1e-5
 #: Newton aims at phi = (1 - EPS_REL_TOL) * eps and stops if a probe gains < EPS_REL_TOL * eps.
 EPS_REL_TOL = 1e-3
+#: A probe whose tau was set from residual phi may stop, unconverged, on a duality gap of at most
+#: SLACK_REL * eps * (phi - eps) while its residual is above eps (van den Berg & Friedlander 2008).
+SLACK_REL = 0.1
 #: FISTA stops once ||X_new - X|| <= STEP_REL_TOL * ||X_new||.
 STEP_REL_TOL = 3e-9
 #: FISTA also stops on duality gap <= GAP_REL_TOL * ||r||^2, a gap it takes every GAP_EVERY
@@ -114,6 +117,9 @@ def solve_regularized(
     tau: float,
     X0: np.ndarray | None = None,
     max_iters: int = MAX_ITERS,
+    *,
+    eps: float = 0.0,
+    slack: float = 0.0,
 ) -> SolveReport:
     """One Pareto probe: FISTA with adaptive restart for 0.5 * ||A(X) - b||^2 on the spectraplex
     {X >= 0, Tr X = tau}, from X0 rescaled to trace tau (no X0: tau I / n).
@@ -128,7 +134,13 @@ def solve_regularized(
     prox's short step only drops the factor, so the next prox is a full `eigh`) or on a
     `_duality_gap` of at most GAP_REL_TOL * ||r||^2 after a step of at most GAP_REL_TOL *
     ||X_new||, else unconverged at max_iters.  lambda_used is the multiplier of the
-    `_duality_gap` at the last iterate."""
+    `_duality_gap` at the last iterate.
+
+    An inexact Newton probe (`solve_constrained`) passes a slack > 0: while ||r|| > eps, the gap
+    is also taken every GAP_EVERY iterations after any step, and a gap <= slack stops the probe,
+    unconverged.  Once ||r|| <= eps the slack is 0 for the rest of the probe, which finishes on
+    the stop above.  The gap checks leave the iterates alone, so a probe that ends with
+    ||r|| <= eps returns what it returns without a slack, bit for bit."""
     if not 0 <= tau < np.inf:
         raise ValueError("tau must be finite and nonnegative")
     if max_iters <= 0:
@@ -159,11 +171,13 @@ def solve_regularized(
         prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
         # a rise keeps the step and restarts the momentum: the next step has t = 1
         t, obj, step, trial = 1.0 if obj_new > obj else t_new, obj_new, s, STEP_GROW * s
-        if short or iters == max_iters or (small and iters % GAP_EVERY == 0):
+        if slack > 0 and float(np.linalg.norm(r_new)) <= eps:
+            slack = 0.0  # within the budget: this probe may answer, so it finishes exactly
+        if short or iters == max_iters or ((small or slack > 0) and iters % GAP_EVERY == 0):
             gap, lambda_used = _duality_gap(cur)
             # the gap certifies the objective, and a small step that X has settled
             converged = short or (small and gap <= GAP_REL_TOL * float(r_new @ r_new))
-            if converged or iters == max_iters:
+            if converged or iters == max_iters or gap <= slack:
                 res = float(np.linalg.norm(r_new))
                 return SolveReport(X_new, iters, res, lambda_used, bool(converged))
 
@@ -227,10 +241,16 @@ def solve_constrained(
     first scaled by the power of two that puts max |b_i| in [1, 2), which is exact,
     and X_hat, the residual and lambda are scaled back, so the solve is scale-free.
     From tau = 0, each warm-started probe sits where the tangent of phi, of slope
-    -lambda / phi, meets (1 - EPS_REL_TOL) * eps; phi is convex, so tau never
-    overshoots.  The first probe with residual <= eps is returned, converged if
-    its stop rule was met; a probe with multiplier 0 or a gain in phi below
-    EPS_REL_TOL * eps ends the search, and one with residual > eps is not converged.
+    -lambda / phi, meets (1 - EPS_REL_TOL) * eps; phi is convex, so from exact probes
+    tau never overshoots.  A probe whose residual is above eps only sets the next tau,
+    so it may stop, unconverged, on a duality gap of at most SLACK_REL * eps * (phi -
+    eps), phi the residual that set its tau (the inexact Newton steps of van den Berg
+    & Friedlander; Aravkin et al., Math. Program. 2019).  Its residual and multiplier
+    are those of an iterate, so the next tau can pass the root by a little.  Once a
+    probe's residual reaches eps it drops that slack and finishes to the full stop.
+    The first probe with residual <= eps is returned, converged if its stop rule was
+    met; a probe with multiplier 0 or a gain in phi below EPS_REL_TOL * eps ends the
+    search, and one with residual > eps is not converged.
     """
     e = int(np.frexp(np.max(np.abs(data.b), initial=0.0))[1]) - 1
     b = np.ldexp(np.asarray(data.b, dtype=np.float64), -e)
@@ -243,7 +263,10 @@ def solve_constrained(
     while rep.residual > eps and rep.lambda_used > 0.0:  # at the start, X = 0 may already do
         phi = rep.residual
         tau += (phi - eps * (1.0 - EPS_REL_TOL)) * phi / rep.lambda_used
-        rep = solve_regularized(ens, b, tau, X0=rep.X_hat, max_iters=max_iters)
+        slack = SLACK_REL * eps * (phi - eps)
+        rep = solve_regularized(
+            ens, b, tau, X0=rep.X_hat, max_iters=max_iters, eps=eps, slack=slack
+        )
         total_iters += rep.iterations
         if phi - rep.residual < EPS_REL_TOL * eps:
             break

@@ -499,6 +499,52 @@ class TestRegularized:
             gaps.pop()
         assert all(gaps)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(["real-gaussian", "complex-unit-sphere"]),
+        seed=st.integers(0, 2**16),
+        tau_rel=st.floats(0.5, 1.2),
+        slack_rel=st.floats(1e-4, 1.0),
+        warm=st.booleans(),
+    )
+    # a probe that ends within eps (80 iterations either way), and one that stops on its slack
+    # at iteration 20, where the exact probe takes 60
+    @example(model="real-gaussian", seed=53820, tau_rel=1.058, slack_rel=0.0074, warm=True)
+    @example(model="complex-unit-sphere", seed=40966, tau_rel=1.128, slack_rel=0.127, warm=True)
+    def test_slack_probe_answers_only_as_the_exact_probe(
+        self, model, seed, tau_rel, slack_rel, warm
+    ):
+        # a slack only adds gap checks, so a slack probe runs the exact probe's iterates: one that
+        # ends within eps is the exact probe bit for bit, and one that ends unconverged before
+        # max_iters stopped on its slack, above eps
+        import phaselift.solver as solver
+
+        ens = sample_ensemble(5, 30, model, seed)
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if ens.field == "complex" else 0)
+        data = add_noise(intensities(ens, x), "gaussian", 30.0, seed=seed)
+        b, eps, tau = data.b, data.eps, tau_rel * np.linalg.norm(x) ** 2
+        B = random_hermitian(5, ens.field, rng)
+        X0 = B @ B.conj().T if warm else None
+        slack, gaps, gap = slack_rel * eps * np.linalg.norm(b), [], solver._duality_gap
+
+        def recorded(cur):
+            out = gap(cur)
+            gaps.append(out[0])
+            return out
+
+        with mock.patch.object(solver, "_duality_gap", recorded):
+            inexact = solve_regularized(ens, b, tau, X0=X0, max_iters=300, eps=eps, slack=slack)
+        exact = solve_regularized(ens, b, tau, X0=X0, max_iters=300)
+        assert inexact.iterations <= exact.iterations
+        if inexact.residual <= eps:
+            assert inexact.converged is exact.converged
+            assert inexact.iterations == exact.iterations
+            assert np.array_equal(inexact.X_hat, exact.X_hat)
+            assert inexact.lambda_used == exact.lambda_used
+        if not inexact.converged and inexact.iterations < 300:
+            assert inexact.residual > eps and gaps[-1] <= slack
+
     @settings(max_examples=16, deadline=None)
     @given(
         model=st.sampled_from(MODELS),
@@ -825,17 +871,42 @@ class TestConstrained:
         assert rep.converged
         assert rep.residual <= NOISELESS_EPS_REL * np.linalg.norm(b)
 
-    @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
-    def test_noisy_solve_takes_few_newton_probes(self, monkeypatch, snr_db):
-        probes = _count_probes(monkeypatch)
+    @staticmethod
+    def _noisy_n32(snr_db):
         rng = np.random.default_rng(100)
         x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
         ens = sample_ensemble(32, 192, "complex-unit-sphere", seed=200)
-        data = add_noise(intensities(ens, x), "gaussian", snr_db, seed=300)
+        return ens, add_noise(intensities(ens, x), "gaussian", snr_db, seed=300)
+
+    @pytest.mark.parametrize("snr_db", [20.0, 40.0, 60.0])
+    def test_noisy_solve_takes_few_newton_probes(self, monkeypatch, snr_db):
+        probes = _count_probes(monkeypatch)
+        ens, data = self._noisy_n32(snr_db)
         rep = solve_constrained(ens, data)
         assert 1 <= len(probes) <= 6
         assert all(np.diff(probes) > 0)  # Newton from the left: tau only grows
         assert rep.converged and rep.residual <= data.eps
+
+    # the iterations of each solve when every probe ran to the full stop: 4 probes at 20 dB,
+    # 5 at 40 dB and 6 at 60 dB, all converged
+    @pytest.mark.parametrize("snr_db, exact_iters", [(20.0, 210), (40.0, 528), (60.0, 692)])
+    def test_slack_stops_fire_but_never_answer(self, monkeypatch, snr_db, exact_iters):
+        import phaselift.solver as solver
+
+        probes, original = [], solver.solve_regularized
+
+        def recorded(*args, **kwargs):
+            rep = original(*args, **kwargs)
+            probes.append((rep, kwargs["eps"]))  # eps as the probe sees it, scaled with b
+            return rep
+
+        monkeypatch.setattr(solver, "solve_regularized", recorded)
+        ens, data = self._noisy_n32(snr_db)
+        rep = solve_constrained(ens, data)
+        *early, (last, eps) = probes
+        assert any(not p.converged and p.residual > e for p, e in early)
+        assert last.converged is True and last.residual <= eps
+        assert rep.converged and rep.iterations < exact_iters
 
     @pytest.mark.parametrize("eps_rel", [1e-2, 1e-4, 1e-6])
     def test_inconsistent_data_flagged_within_ten_probes(self, monkeypatch, eps_rel):
@@ -858,16 +929,16 @@ class TestConstrained:
         k=st.integers(-600, 600),
     )
     # draws on which the round-off of c b has moved a stop by a step or a gap check; here both
-    # solves take 89 iterations, and X ends 6.9e-16 apart
+    # solves take 67 iterations, and X ends 4.6e-16 apart
     @example(model="complex-unit-sphere", noisy=False, c=9.75, seed=62581, k=600)
-    # ... 110 iterations, X ends 9.7e-9 apart
+    # ... 60 iterations, X ends 7.7e-9 apart
     @example(model="real-gaussian", noisy=True, c=519.8718871244287, seed=30563, k=-600)
-    # ... 139 iterations, X ends 1.2e-15 apart
+    # ... 60 iterations, X ends 9.3e-15 apart
     @example(model="complex-unit-sphere", noisy=True, c=0.011976101997704405, seed=23184, k=1)
     def test_scale_equivariance(self, model, noisy, c, seed, k):
         # (b, eps) -> (c b, c eps) maps the solution X to c X up to the round-off of c b, which
         # the probes' steps can grow, and which can flip a restart (any rise of the objective)
-        # or a stop: over 10,000 draws X stayed within 1e-10 on all but 345, and within 1.7e-7
+        # or a stop: over 10,000 draws X stayed within 1e-10 on all but 282, and within 6.1e-8
         # on all.  For c = 2^k far past float64's square range it does so bit for bit,
         # iteration for iteration
         ens = sample_ensemble(5, 30, model, seed)
