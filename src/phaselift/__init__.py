@@ -47,7 +47,6 @@ from .solver import (
     prox_psd_trace,
     solve_constrained,
     solve_regularized,
-    zero_solution_lambda,
 )
 
 __all__ = [
@@ -84,7 +83,6 @@ __all__ = [
     "solve_constrained",
     "solve_regularized",
     "verify_certificate",
-    "zero_solution_lambda",
 ]
 
 __version__ = "0.1.0"

@@ -29,6 +29,11 @@ class SensingEnsemble:
     vectors: np.ndarray
     model: str
 
+    def __post_init__(self):
+        Z = np.asarray(self.vectors)
+        if Z.ndim != 2 or not np.all(np.isfinite(Z)):
+            raise ValueError("sensing vectors must be a finite 2-d array")
+
     @property
     def m(self) -> int:
         return self.vectors.shape[0]

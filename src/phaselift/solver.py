@@ -128,8 +128,8 @@ def solve_regularized(
     pays a dense forward map: a step maps the prox's factor forward (`_forward_factor`) and
     takes one adjoint, and the extrapolated point's residual and gradient follow by linearity.
     The first step tries STEP_START/L, each later one STEP_GROW times the last accepted step,
-    and backtracks as `_fista_step` says.  A step that raises the objective is kept, and the
-    next one is taken at t = 1, with no momentum (O'Donoghue & Candes 2015).  The probe stops,
+    and backtracks as `_fista_step` says, which also restarts the momentum on its gradient test.
+    The probe carries no objective, and a non-finite ||r||^2 raises.  The probe stops,
     converged, on a step of at most STEP_REL_TOL * ||X_new|| through an exact prox (a Krylov
     prox's short step only drops the factor, so the next prox is a full `eigh`) or on a
     `_duality_gap` of at most GAP_REL_TOL * ||r||^2 after a step of at most GAP_REL_TOL *
@@ -156,12 +156,10 @@ def solve_regularized(
     X = X * (tau / tr) if tr > 0 else np.eye(ens.n, dtype=X.dtype) * (tau / ens.n)
     r = apply_measurement(ens, X) - b
     cur = prev = (X, r, apply_adjoint(ens, r), None)  # no factor yet: the first prox is exact
-    obj, t = 0.5 * float(r @ r), 1.0
+    t = 1.0
     for iters in range(1, max_iters + 1):
-        X_new, r_new, obj_new, s, t_new, F = _fista_step(
-            ens, b, tau, cur, prev, t, step, trial, step_min
-        )
-        if not np.isfinite(obj_new):
+        X_new, r_new, s, t, F = _fista_step(ens, b, tau, cur, prev, t, step, trial, step_min)
+        if not np.isfinite(float(r_new @ r_new)):
             raise RuntimeError("objective is not finite: inf/NaN or overflow in the data")
         dx, xn = np.linalg.norm(X_new - cur[0]), np.linalg.norm(X_new)
         short, small = dx <= STEP_REL_TOL * xn, dx <= GAP_REL_TOL * xn
@@ -169,8 +167,7 @@ def solve_regularized(
             # a Krylov prox may stall short of the fixed point: the next prox is exact
             short, F = False, None
         prev, cur = cur, (X_new, r_new, apply_adjoint(ens, r_new), F)
-        # a rise keeps the step and restarts the momentum: the next step has t = 1
-        t, obj, step, trial = 1.0 if obj_new > obj else t_new, obj_new, s, STEP_GROW * s
+        step, trial = s, STEP_GROW * s
         if slack > 0 and float(np.linalg.norm(r_new)) <= eps:
             slack = 0.0  # within the budget: this probe may answer, so it finishes exactly
         if short or iters == max_iters or ((small or slack > 0) and iters % GAP_EVERY == 0):
@@ -185,12 +182,14 @@ def solve_regularized(
 def _fista_step(ens, b, tau, cur, prev, t, step, trial, step_min):
     """One FISTA step with backtracking (Scheinberg, Goldfarb & Bai 2014) from the iterate
     cur = (X, r, G, F) and the one before it, prev; step is the last accepted step, and t = 1
-    (a probe's start, or after a rise) takes no momentum.  Each try at s (first `trial`, then
+    (a probe's start, or a restart) takes no momentum.  Each try at s (first `trial`, then
     halved, never below step_min) sets t_new = (1 + sqrt(1 + 4 (step / s) t^2)) / 2 and
     Y = X + (t - 1) / t_new (X - X_prev), whose residual rY and gradient GY follow by
     linearity, until ||A(X_new - Y)||^2 <= ||X_new - Y||^2 / s (Beck & Teboulle 2009); that
     A(X_new - Y) is r_new - rY.  The prox takes X's factor F (None: exact) as its basis.
-    Returns X_new, its residual and objective, s, t_new and X_new's factor."""
+    Returns X_new, its residual, s, the next step's t and X_new's factor; that t is 1 (a
+    restart) when Re <Y - X_new, X_new - X> > 0, the gradient test of O'Donoghue & Candes
+    (2015), which needs no objective and is blind to the data's scale, else t_new."""
     (X, r, G, F), (Xp, rp, Gp, _) = cur, prev
     s = trial
     while True:
@@ -201,7 +200,8 @@ def _fista_step(ens, b, tau, cur, prev, t, step, trial, step_min):
         r_new = _forward_factor(ens, F_new) - b
         d = r_new - rY
         if s <= step_min or s * float(d @ d) <= np.linalg.norm(X_new - Y) ** 2:
-            return X_new, r_new, 0.5 * float(r_new @ r_new), s, t_new, F_new
+            restart = np.vdot(Y - X_new, X_new - X).real > 0  # the gradient test
+            return X_new, r_new, s, 1.0 if restart else t_new, F_new
         s = max(s / 2, step_min)
 
 
@@ -218,16 +218,6 @@ def _duality_gap(cur):
     mu = float(w[-1])
     d = np.einsum("ij,ij->j", U.conj(), X @ U).real  # u_i* X u_i, up to round-off
     return float((mu - w) @ np.maximum(d, 0.0)), max(0.0, mu)
-
-
-def zero_solution_lambda(ens: SensingEnsemble, b: np.ndarray) -> float:
-    """Newton's first slope: the trace multiplier of X = 0, lambda_max(A*(b)) clipped at 0.
-
-    X = 0 minimizes 0.5 * ||A(X) - b||^2 + lambda * Tr X over X >= 0 exactly when lambda is
-    at least lambda_max(A*(b)), so the Pareto curve starts with slope -max(that, 0) / ||b||.
-    """
-    w = np.linalg.eigvalsh(apply_adjoint(ens, np.asarray(b, dtype=np.float64)))
-    return max(float(w[-1]), 0.0)
 
 
 def solve_constrained(
@@ -258,7 +248,8 @@ def solve_constrained(
     eps = float(np.ldexp(data.eps, -e)) or NOISELESS_EPS_REL * b_norm
 
     zero = np.zeros((ens.n, ens.n), DTYPES[ens.field])
-    rep = SolveReport(zero, 0, b_norm, zero_solution_lambda(ens, b), converged=True)
+    _, lam = _duality_gap((zero, -b, apply_adjoint(ens, -b), None))  # Newton's first slope
+    rep = SolveReport(zero, 0, b_norm, lam, converged=True)
     tau, total_iters = 0.0, 0
     while rep.residual > eps and rep.lambda_used > 0.0:  # at the start, X = 0 may already do
         phi = rep.residual

@@ -9,6 +9,7 @@ from scipy import stats
 from phaselift.measurement import (
     MODELS,
     IntensityData,
+    SensingEnsemble,
     _forward_factor,
     add_noise,
     apply_adjoint,
@@ -44,6 +45,22 @@ class TestSampling:
             sample_ensemble(0, 4, "real-gaussian", seed=0)
         with pytest.raises(ValueError):
             sample_ensemble(4, 4, "bernoulli", seed=0)
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [[1.0, np.nan], [0.0, 1.0]],
+            [[1.0, 0.0], [np.inf, 1.0]],
+            [[1.0 + 0j, 0.0], [0.0, complex(1.0, -np.inf)]],
+            [1.0, 0.0],
+        ],
+        ids=["nan", "inf", "complex-inf", "1-d"],
+    )
+    def test_bad_vectors_rejected(self, vectors):
+        # a NaN made the solver's eigh fail to converge, an inf gave inf intensities, and a
+        # 1-d array failed in .n with an IndexError
+        with pytest.raises(ValueError, match="finite 2-d"):
+            SensingEnsemble(vectors=np.array(vectors), model="real-gaussian")
 
 
 class TestOperator:

@@ -24,7 +24,6 @@ from phaselift.solver import (
     prox_psd_trace,
     solve_constrained,
     solve_regularized,
-    zero_solution_lambda,
 )
 
 from oracles import capped_prox, gram_lambda_max, plain_proximal_gradient, random_hermitian
@@ -45,6 +44,11 @@ def _count_probes(monkeypatch):
     return probes
 
 
+def _sgb(t, step, taken):
+    """The SGB momentum t_new of a FISTA step at t, from the last step and the accepted one."""
+    return (1 + np.sqrt(1 + 4 * (step / taken) * t * t)) / 2
+
+
 def _extrapolated(cur, prev, t, t_new):
     """(Y, rY, GY) of a FISTA step from the iterates cur and prev, by linearity."""
     beta = (t - 1.0) / t_new
@@ -59,33 +63,36 @@ def _objective(v):
 def _check_sgb_momentum(calls, b):
     """Check the recorded (cur, prev, t, step, trial, out) of each `_fista_step` call of a probe.
 
-    Each call's t_new is (1 + sqrt(1 + 4 (step / s) t^2)) / 2 at its accepted step s.  A new
-    iterate carries t_new and s into the next call; a step that raised the objective is kept,
-    and the next call restarts with t = 1.  A call at t = 1 is a proximal-gradient step under
-    the backtracking inequality, so its objective does not rise past the round-off of r, and
-    two rises in a row cannot happen.  Returns the events seen.
+    Each call's t_new is (1 + sqrt(1 + 4 (step / s) t^2)) / 2 at its accepted step s, with
+    Y = X + (t - 1) / t_new (X - X_prev).  It returns t = 1 for the next call when the gradient
+    test Re <Y - X_new, X_new - X> > 0 holds (a restart), else t_new, and a new iterate carries
+    that t and s into the next call.  A call at t = 1 has Y = X, so it never restarts; it is a
+    proximal-gradient step under the backtracking inequality, so its objective does not rise
+    past the round-off of r.  Returns the events seen.
     """
     events = set()
     for k, (cur, prev, t, step, trial, out) in enumerate(calls):
-        taken, t_new = out[3], out[4]
-        assert t_new == pytest.approx((1 + np.sqrt(1 + 4 * (step / taken) * t * t)) / 2, rel=1e-15)
+        X_new, _, taken, t_next, _ = out
+        t_new = _sgb(t, step, taken)
+        Y = _extrapolated(cur, prev, t, t_new)[0]
+        if np.vdot(Y - X_new, X_new - cur[0]).real > 0:
+            events.add("restart")
+            assert t_next == 1.0 and t != 1.0
+        else:
+            assert t_next == pytest.approx(t_new, rel=1e-15)
         if taken > step:
             events.add("growth")
         if taken < trial:
             events.add("backtrack")
         if t == 1.0:
             scale = np.linalg.norm(b) * max(np.linalg.norm(cur[1]), np.linalg.norm(out[1]))
-            assert out[2] - _objective(cur) <= 1e-13 * scale
+            assert _objective(out) - _objective(cur) <= 1e-13 * scale
         if k == 0:
             assert t == 1.0 and prev is cur
             continue
         last_cur, _, _, _, _, last_out = calls[k - 1]
-        assert cur[0] is last_out[0] and prev is last_cur and step == last_out[3]
-        if last_out[2] > _objective(last_cur):
-            events.add("restart")
-            assert t == 1.0
-        else:
-            assert t == last_out[4]
+        assert cur[0] is last_out[0] and prev is last_cur
+        assert step == last_out[2] and t == last_out[3]
     return events
 
 
@@ -321,14 +328,15 @@ class TestRegularized:
         b = rng.uniform(0.0, 1.0, size=12)
         rep = solve_regularized(ens, b, 0.0)
         assert np.abs(rep.X_hat).max() == 0.0 and rep.converged
-        assert rep.lambda_used == pytest.approx(zero_solution_lambda(ens, b), rel=1e-12)
+        lam = max(np.linalg.eigvalsh(apply_adjoint(ens, b))[-1], 0)
+        assert rep.lambda_used == pytest.approx(lam, rel=1e-12)
 
     def test_large_lambda_gives_zero(self):
-        # past zero_solution_lambda, X = 0 solves the lambda form: the oracle never leaves it
+        # past lambda_max(A*(b)), X = 0 solves the lambda form: the oracle never leaves it
         ens = sample_ensemble(4, 12, "complex-gaussian", seed=5)
         rng = np.random.default_rng(3)
         b = rng.uniform(0.0, 1.0, size=12)
-        lam = zero_solution_lambda(ens, b) * 1.001
+        lam = max(np.linalg.eigvalsh(apply_adjoint(ens, b))[-1], 0) * 1.001
         step = 1.0 / gram_lambda_max(ens)
         (X,), _ = plain_proximal_gradient([ens], [b], [lam], [step], iters=200)
         assert np.abs(X).max() <= 1e-12
@@ -343,8 +351,8 @@ class TestRegularized:
         assert np.linalg.norm(rep.X_hat - target) <= 1e-3 * np.linalg.norm(target)
 
     def test_iterates_psd_and_trace_monotone(self):
-        # every iterate is PSD with Tr X = tau; the objective may rise only on a step with
-        # momentum, and the step after a rise is taken at t = 1, where it does not rise
+        # every iterate is PSD with Tr X = tau; the probe restarts its momentum within 30 steps,
+        # and a step at t = 1 does not raise the objective
         import phaselift.solver as solver
 
         ens = sample_ensemble(5, 25, "real-gaussian", seed=7)
@@ -359,17 +367,18 @@ class TestRegularized:
             assert np.linalg.eigvalsh(rep.X_hat).min() >= -1e-9 * np.linalg.norm(rep.X_hat)
             assert np.trace(rep.X_hat).real == pytest.approx(tau, rel=1e-12)
             objs.append(0.5 * rep.residual**2)
-        ts, original = [], solver._fista_step
+        ts, t_next, original = [], [], solver._fista_step
 
         def recorded(*args):
             ts.append(args[5])
-            return original(*args)
+            out = original(*args)
+            t_next.append(out[3])
+            return out
 
         with mock.patch.object(solver, "_fista_step", recorded):
             solve_regularized(ens, b, tau, max_iters=30)
+        assert 1.0 in t_next  # a restart: the gradient test fired
         rises = np.diff(objs) > 1e-12
-        assert rises.any()
-        assert all(ts[k + 1] == 1.0 for k in np.flatnonzero(rises[:-1]))
         assert not any(rise for rise, t in zip(rises, ts) if t == 1.0)
 
     def test_no_iterations_or_wrong_data_length_rejected(self):
@@ -601,8 +610,8 @@ class TestRegularized:
 
         def checked(ens, b, tau, cur, prev, t, step, trial, step_min):
             out = original(ens, b, tau, cur, prev, t, step, trial, step_min)
-            X, r, obj, taken, t_new, _ = out
-            Y, rY, _ = _extrapolated(cur, prev, t, t_new)
+            X, r, taken, _, _ = out
+            Y, rY, _ = _extrapolated(cur, prev, t, _sgb(t, step, taken))
             slack = 1e-12 * float(b @ b) * taken
             assert step_min <= taken <= trial
             d = r - rY
@@ -643,7 +652,7 @@ class TestRegularized:
         def recorded(*args):
             before = calls["prox"]
             out = original(*args)
-            trial, step_min, taken = args[7], args[8], out[3]
+            trial, step_min, taken = args[7], args[8], out[2]
             assert taken == max(trial / 2 ** (calls["prox"] - before - 1), step_min)
             steps.append((trial, taken, step_min))
             return out
@@ -680,7 +689,7 @@ class TestRegularized:
             out = original(ens, b, tau, cur, prev, t, step, trial, step_min)
             for X, r, G, _ in (cur, prev):
                 assert np.array_equal(G, apply_adjoint(ens, r))
-            _, rY, GY = _extrapolated(cur, prev, t, out[4])
+            _, rY, GY = _extrapolated(cur, prev, t, _sgb(t, step, out[2]))
             # the round-off of A*(r) scales with A*(|r|), not with A*(r), which may cancel
             scale = sum(np.linalg.norm(apply_adjoint(ens, np.abs(v[1]))) for v in (cur, prev))
             assert np.linalg.norm(GY - apply_adjoint(ens, rY)) <= 1e-12 * scale * (1 + t)
@@ -712,8 +721,8 @@ class TestRegularized:
 
     @pytest.mark.parametrize("probe", ["restart", "krylov"])
     def test_one_fista_step_per_iteration(self, monkeypatch, probe):
-        # a rise restarts the momentum on the next step, and a short Krylov step leaves the
-        # next prox exact: neither retakes a step, so each iteration is one `_fista_step` call
+        # a restart takes the next step at t = 1, and a short Krylov step leaves the next prox
+        # exact: neither retakes a step, so each iteration is one `_fista_step` call
         import phaselift.solver as solver
 
         if probe == "restart":
@@ -723,7 +732,7 @@ class TestRegularized:
         else:
             x = np.random.default_rng(0).standard_normal(64)
             ens = sample_ensemble(64, 384, "real-gaussian", seed=0)
-            b, tau = intensities(ens, x), 0.99 * (x @ x)
+            b, tau = intensities(ens, x), 0.995 * (x @ x)
         calls, original = [], solver._fista_step
 
         def recorded(ens, b, tau, cur, prev, t, *args):
@@ -771,7 +780,7 @@ class TestRegularized:
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3)
         b = intensities(ens, x) + 0.05 * rng.standard_normal(12)
-        lam = 0.05 * zero_solution_lambda(ens, b)
+        lam = 0.05 * max(np.linalg.eigvalsh(apply_adjoint(ens, b))[-1], 0)
         step = 0.1 / gram_lambda_max(ens)
         (X_ref,), (obj_ref,) = plain_proximal_gradient([ens], [b], [lam], [step], iters=20_000)
         probe = solve_regularized(ens, b, np.trace(X_ref).real)
@@ -844,7 +853,8 @@ class TestConstrained:
         probes = [solve_regularized(ens, b, tau) for tau in np.linspace(0.0, 0.9, 10) * (x @ x)]
         lams = [rep.lambda_used for rep in probes]
         residuals = [rep.residual for rep in probes]
-        assert lams[0] == pytest.approx(zero_solution_lambda(ens, b), rel=1e-12)
+        lam = max(np.linalg.eigvalsh(apply_adjoint(ens, b))[-1], 0)
+        assert lams[0] == pytest.approx(lam, rel=1e-12)
         assert np.all(np.diff(lams) < 0.0)
         assert np.all(np.diff(residuals[::-1]) >= -1e-8 * max(residuals))
 
@@ -928,19 +938,19 @@ class TestConstrained:
         seed=st.integers(0, 2**16),
         k=st.integers(-600, 600),
     )
-    # draws on which the round-off of c b has moved a stop by a step or a gap check; here both
-    # solves take 67 iterations, and X ends 4.6e-16 apart
+    # draws on which the round-off of c b once moved a stop or flipped a restart; here both
+    # solves take 66 iterations, and X ends 7.4e-16 apart
     @example(model="complex-unit-sphere", noisy=False, c=9.75, seed=62581, k=600)
-    # ... 60 iterations, X ends 7.7e-9 apart
+    # ... 50 iterations, X ends 1.2e-15 apart
     @example(model="real-gaussian", noisy=True, c=519.8718871244287, seed=30563, k=-600)
-    # ... 60 iterations, X ends 9.3e-15 apart
+    # ... 60 iterations, X ends 2.6e-15 apart
     @example(model="complex-unit-sphere", noisy=True, c=0.011976101997704405, seed=23184, k=1)
     def test_scale_equivariance(self, model, noisy, c, seed, k):
-        # (b, eps) -> (c b, c eps) maps the solution X to c X up to the round-off of c b, which
-        # the probes' steps can grow, and which can flip a restart (any rise of the objective)
-        # or a stop: over 10,000 draws X stayed within 1e-10 on all but 282, and within 6.1e-8
-        # on all.  For c = 2^k far past float64's square range it does so bit for bit,
-        # iteration for iteration
+        # (b, eps) -> (c b, c eps) maps the solution X to c X up to the round-off of c b.  The
+        # restart's gradient test scales by c^2, so that round-off does not flip it: on 10,000
+        # draws (default_rng(12345); c log-uniform in [1e-3, 1e3]) both solves took the same
+        # iterations, and X stayed within 2.0e-13 ||X||.  For c = 2^k far past float64's square
+        # range it does so bit for bit, iteration for iteration
         ens = sample_ensemble(5, 30, model, seed)
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(5) + (1j * rng.standard_normal(5) if ens.field == "complex" else 0)
@@ -949,7 +959,8 @@ class TestConstrained:
         ref = solve_constrained(ens, data)
         scaled = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
         assert type(ref.converged) is bool and scaled.converged == ref.converged
-        assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= 1e-6 * np.linalg.norm(ref.X_hat)
+        assert scaled.iterations == ref.iterations
+        assert np.linalg.norm(scaled.X_hat / c - ref.X_hat) <= 1e-10 * np.linalg.norm(ref.X_hat)
         c = 2.0**k
         exact = solve_constrained(ens, IntensityData(c * data.b, c * data.eps))
         assert exact.iterations == ref.iterations and exact.converged is ref.converged
